@@ -24,7 +24,6 @@ from repro.errors import EstimationError
 from repro.query.join_graph import JoinGraph
 from repro.query.query import JoinEdge, Query
 from repro.util.bitset import bit_indices
-from repro.util.flags import plan_cache_enabled
 
 #: cache-miss sentinel (``None`` is a legal cached value: "no edges")
 _MISSING = object()
@@ -132,31 +131,9 @@ class AnalyticEstimator(CardinalityEstimator):
         sels = [self.edge_selectivity(query, e) for e in edges]
         return self.combine_edge_selectivities(sels)
 
-    def _cardinality_reference(
-        self, query: Query, subset: int, unfiltered_alias: str | None
-    ) -> float:
-        """The original (uncached) closed form — ``REPRO_PLAN_CACHE=0``."""
-        indices = bit_indices(subset)
-        if not indices:
-            raise EstimationError("empty subset")
-        card = 1.0
-        for i in indices:
-            alias = query.relation_at(i).alias
-            filtered = alias != unfiltered_alias
-            card *= self.base_cardinality(query, alias, filtered=filtered)
-        if len(indices) > 1:
-            graph = self._graph(query)
-            edges = self._spanning_edges(query, graph.edges_within(subset))
-            if edges:
-                sels = [self.edge_selectivity(query, e) for e in edges]
-                card *= self.combine_edge_selectivities(sels)
-        return max(card, 1.0)
-
     def cardinality(
         self, query: Query, subset: int, unfiltered_alias: str | None = None
     ) -> float:
-        if not plan_cache_enabled():
-            return self._cardinality_reference(query, subset, unfiltered_alias)
         cache = self._plan_cache(query)
         aliases = cache.aliases.get(subset)
         if aliases is None:
@@ -166,9 +143,10 @@ class AnalyticEstimator(CardinalityEstimator):
             if not aliases:
                 raise EstimationError("empty subset")
             cache.aliases[subset] = aliases
-        # same multiplication sequence as the reference path: base cards
-        # in bit order, then one multiply by the combined selectivity —
-        # cached floats, bit-identical products
+        # same multiplication sequence as the uncached closed form
+        # (tests/reference/analytic.py): base cards in bit order, then one
+        # multiply by the combined selectivity — cached floats,
+        # bit-identical products
         card = 1.0
         base = cache.base
         for alias in aliases:

@@ -24,9 +24,10 @@ Bulk computation is organised around an explicit
 :class:`~repro.cardinality.truth_plan.MaterialisationPlan` — the
 per-query DAG of connected subsets grouped into size levels, where each
 level depends only on materialisations from smaller levels.
-:meth:`TrueCardinalities.compute_all` walks the plan level by level
-(evicting stale materialisations as it goes), and with ``processes > 1``
-hands whole levels to the level-parallel executor in
+:meth:`TrueCardinalities.compute_all` walks the plan level by level with
+the batched probes of :mod:`repro.kernels.oracle` (evicting stale
+materialisations as it goes), and with ``processes > 1`` hands whole
+levels to the level-parallel executor in
 :mod:`repro.cardinality.truth_plan`, which shards a level's subsets
 across a ``ProcessPoolExecutor`` and merges the exact counts back into
 the same per-query state — parallel output is bit-identical to
@@ -44,12 +45,12 @@ import numpy as np
 from repro.catalog.schema import Database
 from repro.cardinality.base import CardinalityEstimator
 from repro.errors import EstimationError
+from repro.kernels.oracle import compute_levels, expand_join, release_caches
 from repro.query.join_graph import JoinGraph
 from repro.query.query import Query
 from repro.query.subgraphs import SubgraphCatalog
 from repro.util.bitset import popcount
 from repro.util.coverage import covers
-from repro.util.joinkeys import equi_join_indices
 
 
 @dataclass
@@ -150,17 +151,10 @@ class TrueCardinalities(CardinalityEstimator):
         db: Database,
         max_rows: int = 50_000_000,
         max_cached_queries: int = 32,
-        kernels: str | None = None,
     ) -> None:
-        from repro.kernels import resolve_backend
-
-        if kernels is not None:
-            resolve_backend(kernels)  # validate eagerly
         self.db = db
         self.max_rows = max_rows
         self.max_cached_queries = max_cached_queries
-        #: kernel backend override; ``None`` defers to ``$REPRO_KERNELS``
-        self.kernels = kernels
         self._states: "weakref.WeakValueDictionary[int, _QueryState]" = (
             weakref.WeakValueDictionary()
         )
@@ -171,12 +165,6 @@ class TrueCardinalities(CardinalityEstimator):
         self._pool_processes = 0
 
     # ------------------------------------------------------------------ #
-
-    def _backend(self) -> str:
-        """The active kernel backend for this oracle's joins."""
-        from repro.kernels import resolve_backend
-
-        return resolve_backend(self.kernels)
 
     def _state(self, query: Query) -> _QueryState:
         key = id(query)
@@ -245,15 +233,12 @@ class TrueCardinalities(CardinalityEstimator):
         return row_ids
 
     def _singleton_result(
-        self, state: _QueryState, subset: int, filtered: bool = True
+        self, state: _QueryState, subset: int
     ) -> _KeyedResult:
         index = subset.bit_length() - 1
         rel = state.query.relation_at(index)
         table = self.db.table(rel.table)
-        if filtered:
-            row_ids = self._base_rows(state, rel.alias)
-        else:
-            row_ids = np.arange(table.n_rows, dtype=np.int64)
+        row_ids = self._base_rows(state, rel.alias)
         keys: dict[tuple[str, str], np.ndarray] = {}
         for edge in state.query.joins:
             if rel.alias in edge.aliases():
@@ -287,54 +272,10 @@ class TrueCardinalities(CardinalityEstimator):
                 )
             parent, bit = state.catalog.expansion_parent(subset)
             left = self._materialize(state, parent)
-            if self._backend() == "numpy":
-                from repro.kernels.oracle import expand_join
-
-                result = expand_join(self, state, subset, parent, left, bit)
-            else:
-                right = self._singleton_result(state, bit)
-                result = self._join(state, subset, parent, left, bit, right)
+            result = expand_join(self, state, subset, parent, left, bit)
         state.results[subset] = result
         state.counts[subset] = result.n_rows
         return result
-
-    def _join(
-        self,
-        state: _QueryState,
-        subset: int,
-        parent: int,
-        left: _KeyedResult,
-        bit: int,
-        right: _KeyedResult,
-        count_only: bool = False,
-    ) -> _KeyedResult:
-        query = state.query
-        edges = state.graph.edges_between(parent, bit)
-        r_alias = query.relation_at(bit.bit_length() - 1).alias
-        left_cols = []
-        right_cols = []
-        for edge in edges:
-            o_alias, o_col = edge.other(r_alias)
-            _, r_col = edge.side(r_alias)
-            left_cols.append(left.keys[(o_alias, o_col)])
-            right_cols.append(right.keys[(r_alias, r_col)])
-        lidx, ridx = equi_join_indices(left_cols, right_cols)
-        n_out = len(lidx)
-        if n_out > self.max_rows:
-            raise EstimationError(
-                f"intermediate result of {query.name!r} exceeds max_rows "
-                f"({n_out} > {self.max_rows})"
-            )
-        if count_only:
-            return _KeyedResult(n_rows=n_out, keys={})
-        keys: dict[tuple[str, str], np.ndarray] = {}
-        outgoing = self._outgoing_key_columns(state, subset)
-        for alias, col in outgoing:
-            if (alias, col) in left.keys:
-                keys[(alias, col)] = left.keys[(alias, col)][lidx]
-            else:
-                keys[(alias, col)] = right.keys[(alias, col)][ridx]
-        return _KeyedResult(n_rows=n_out, keys=keys)
 
     def _outgoing_key_columns(
         self, state: _QueryState, subset: int
@@ -342,7 +283,7 @@ class TrueCardinalities(CardinalityEstimator):
         """Key columns of edges that leave ``subset`` (still joinable).
 
         Cached per subset on the query state: the edge scan is O(query
-        edges) and every ``_join`` of every repeated materialisation of
+        edges) and every join of every repeated materialisation of
         ``subset`` needs the same answer.
         """
         cached = state.outgoing.get(subset)
@@ -380,7 +321,7 @@ class TrueCardinalities(CardinalityEstimator):
         if side is not None:
             count = side.get(key)
             if count is not None:
-                # promote the pre-warmed count (see the numpy kernel's
+                # promote the pre-warmed count (see the kernel's
                 # compute_levels): guard + cache exactly as the lazy
                 # join below would
                 if count > self.max_rows:
@@ -399,18 +340,10 @@ class TrueCardinalities(CardinalityEstimator):
                 f"(subset {subset:#x}, alias {alias!r})"
             )
         left = self._materialize(state, outer)
-        if self._backend() == "numpy":
-            from repro.kernels.oracle import expand_join
-
-            joined = expand_join(
-                self, state, subset, outer, left, bit,
-                filtered=False, count_only=True,
-            )
-        else:
-            right = self._singleton_result(state, bit, filtered=False)
-            joined = self._join(
-                state, subset, outer, left, bit, right, count_only=True
-            )
+        joined = expand_join(
+            self, state, subset, outer, left, bit,
+            filtered=False, count_only=True,
+        )
         state.unfiltered_counts[key] = joined.n_rows
         return joined.n_rows
 
@@ -438,16 +371,15 @@ class TrueCardinalities(CardinalityEstimator):
         ``compute_all``, or a preload that carried its coverage) returns
         from cache without touching the plan.
 
-        ``warm_unfiltered`` asks the sequential numpy walk to also count
-        each level's unfiltered-intermediate neighbours while the
-        level's materialisations are still live, into a memory-only
-        side cache — a caller that will price index-nested-loop joins
-        against this oracle avoids re-materialising evicted parents
-        later.  The knob is pure execution policy: entries only reach
-        the observable ``unfiltered_counts`` when (and in the order)
-        they are actually requested, so counts and stored bytes are
-        unchanged.  The python backend and the parallel executor ignore
-        it.
+        ``warm_unfiltered`` asks the sequential walk to also count each
+        level's unfiltered-intermediate neighbours while the level's
+        materialisations are still live, into a memory-only side cache —
+        a caller that will price index-nested-loop joins against this
+        oracle avoids re-materialising evicted parents later.  The knob
+        is pure execution policy: entries only reach the observable
+        ``unfiltered_counts`` when (and in the order) they are actually
+        requested, so counts and stored bytes are unchanged.  Only the
+        level-parallel executor ignores it.
         """
         state = self._state(query)
         if state.covered(max_size):
@@ -458,18 +390,10 @@ class TrueCardinalities(CardinalityEstimator):
             from repro.cardinality.truth_plan import compute_plan_parallel
 
             compute_plan_parallel(self, state, plan, cap, processes)
-        elif self._backend() == "numpy":
-            from repro.kernels.oracle import compute_levels
-
+        else:
             compute_levels(
                 self, state, plan, cap, warm_unfiltered=warm_unfiltered
             )
-        else:
-            for size in range(1, cap + 1):
-                if size > 1:
-                    self._evict(state, keep_min_size=size - 1)
-                for subset in plan.levels[size]:
-                    self._count(state, subset)
         state.widen_cover(max_size)
         return dict(state.counts)
 
@@ -510,6 +434,7 @@ class TrueCardinalities(CardinalityEstimator):
         state = self._peek_state(query)
         if state is not None:
             state.results.clear()
+            release_caches(state)
 
     def forget(self, query: Query) -> None:
         """Explicitly evict every cached artefact of ``query``."""

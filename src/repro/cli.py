@@ -529,15 +529,6 @@ def _store_flags() -> argparse.ArgumentParser:
         help="print a progress line to stderr as each unit completes",
     )
     p.add_argument(
-        "--kernels", default=None, choices=["python", "numpy"],
-        help=(
-            "hot-loop backend (default: $REPRO_KERNELS, else python). "
-            "Both are bit-identical — same counts, plans, and stored "
-            "rows — so this is pure execution policy, never part of a "
-            "sweep fingerprint"
-        ),
-    )
-    p.add_argument(
         "--store-backend", default=None, choices=["json", "sqlite"],
         help=(
             "result/truth store engine (default: $REPRO_STORE, else "
@@ -709,13 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a progress line to stderr as each unit completes",
     )
     p_worker.add_argument(
-        "--kernels", default=None, choices=["python", "numpy"],
-        help=(
-            "hot-loop backend (default: $REPRO_KERNELS, else python); "
-            "bit-identical backends, pure execution policy"
-        ),
-    )
-    p_worker.add_argument(
         "--store-backend", default=None, choices=["json", "sqlite"],
         help=(
             "store engine fallback for queues enqueued before the "
@@ -757,16 +741,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "kernels", None) is not None:
-        from repro.kernels import set_backend
-
-        # exported through the environment so pool workers (fork and
-        # spawn alike) inherit the choice without any spec plumbing
-        set_backend(args.kernels)
     if getattr(args, "store_backend", None) is not None:
         from repro.pipeline.sqlstore import set_store_backend
 
-        # same idiom as --kernels: the environment carries the choice
-        # into pool and queue workers
+        # exported through the environment so pool and queue workers
+        # (fork and spawn alike) inherit the choice without spec plumbing
         set_store_backend(args.store_backend)
     return args.func(args)

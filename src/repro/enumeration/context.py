@@ -15,24 +15,12 @@ from repro.query.subgraphs import catalog_for
 
 
 class QueryContext:
-    """Cached structural state for optimizing one query.
+    """Cached structural state for optimizing one query."""
 
-    ``kernels`` optionally pins the pricing backend every enumerator run
-    on this context should use (``"python"``/``"numpy"``); ``None``
-    defers to the process-wide ``REPRO_KERNELS`` selection.  Both
-    backends are bit-identical, so the knob is pure execution policy —
-    it never affects plans, costs, or stored rows.
-    """
-
-    def __init__(self, query: Query, kernels: str | None = None) -> None:
+    def __init__(self, query: Query) -> None:
         self.query = query
         self.graph = JoinGraph(query)
         self.catalog = catalog_for(self.graph)
-        if kernels is not None:
-            from repro.kernels import resolve_backend
-
-            resolve_backend(kernels)  # eager validation
-        self.kernels = kernels
 
     def scan_node(self, rel_index: int) -> ScanNode:
         """A fresh scan leaf for the relation at ``rel_index``."""

@@ -6,6 +6,13 @@ to left-deep, right-deep, or zig-zag (Section 6.2).  Plan alternatives
 are priced with an arbitrary cost model and an arbitrary (injectable)
 cardinality source, which is exactly the standalone-optimizer methodology
 the paper uses for its Section 6 experiments.
+
+Pricing runs one union-size level at a time in :mod:`repro.kernels.dp`
+whenever the input allows it; the candidate-at-a-time scalar loop
+(:meth:`DPEnumerator.optimize_scalar`) prices the rest — sort-merge
+joins, cost models without ``batch_join_costs`` (the PostgreSQL
+models), and NaN cardinalities.  Both produce the identical plan and
+the IEEE-identical cost.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from repro.cost.base import CostModel, plan_cost
 from repro.enumeration.candidates import candidate_joins
 from repro.enumeration.context import QueryContext
 from repro.errors import EnumerationError
+from repro.kernels.dp import optimize_batched
 from repro.physical.design import PhysicalDesign
 from repro.plans.plan import PlanNode, ScanNode, annotate_estimates
 from repro.plans.shapes import TreeShape
@@ -34,13 +42,6 @@ class DPEnumerator:
         engine, Figure 6a) / sort-merge joins.
     shape:
         Tree-shape restriction (default: bushy = unrestricted).
-    kernels:
-        Pricing-backend override (``"python"``/``"numpy"``); ``None``
-        defers to the context's backend, then ``REPRO_KERNELS``.  Under
-        the numpy backend, cost models that implement
-        ``batch_join_costs`` are priced one union-size level at a time
-        by :mod:`repro.kernels.dp` — plans and costs are bit-identical
-        to the scalar loop either way.
     """
 
     def __init__(
@@ -50,29 +51,21 @@ class DPEnumerator:
         allow_nlj: bool = False,
         allow_smj: bool = False,
         shape: TreeShape = TreeShape.BUSHY,
-        kernels: str | None = None,
+        kernels: None = None,
     ) -> None:
+        # ``kernels`` survives only for benchmarks/e2e/stepwise.py
+        if kernels is not None:
+            raise ValueError(
+                f"kernels={kernels!r}: the numpy kernels are the only "
+                "pricing path; pass None"
+            )
         self.cost_model = cost_model
         self.design = design
         self.allow_nlj = allow_nlj
         self.allow_smj = allow_smj
         self.shape = shape
-        if kernels is not None:
-            from repro.kernels import resolve_backend
-
-            resolve_backend(kernels)  # eager validation
-        self.kernels = kernels
 
     # ------------------------------------------------------------------ #
-
-    def _backend(self, context: QueryContext) -> str:
-        """Pricing backend: enumerator override, else context, else env."""
-        from repro.kernels import resolve_backend
-
-        override = self.kernels
-        if override is None:
-            override = getattr(context, "kernels", None)
-        return resolve_backend(override)
 
     def _shape_admits(self, left: PlanNode, right: PlanNode) -> bool:
         if self.shape is TreeShape.BUSHY:
@@ -96,14 +89,24 @@ class DPEnumerator:
         under (``est_rows``), which the executor later uses for hash-table
         sizing.
         """
-        if self._backend(context) == "numpy":
-            from repro.kernels.dp import optimize_batched
+        batched = optimize_batched(self, context, card)
+        if batched is None:
+            return self.optimize_scalar(context, card)
+        plan, cost = batched
+        annotate_estimates(plan, card)
+        return plan, cost
 
-            batched = optimize_batched(self, context, card)
-            if batched is not None:
-                plan, cost = batched
-                annotate_estimates(plan, card)
-                return plan, cost
+    def optimize_scalar(
+        self, context: QueryContext, card: BoundCard
+    ) -> tuple[PlanNode, float]:
+        """:meth:`optimize` priced one candidate at a time.
+
+        Every candidate join is built as a :class:`JoinNode` and priced
+        through the cost model's ``join_cost``; the first strict
+        improvement per union wins.  :meth:`optimize` runs this loop
+        for the inputs the batched kernel declines; the differential
+        tests call it directly.
+        """
         query = context.query
         best: dict[int, tuple[float, PlanNode]] = {}
         for i in range(query.n_relations):
@@ -115,8 +118,7 @@ class DPEnumerator:
         # same query under another estimator or cost model skips the
         # edges_between derivation for every csg–cmp pair.  The loop
         # binds every per-candidate attribute lookup to a local once —
-        # this is the hottest python-side loop the batched kernel does
-        # not cover, and attribute churn was a measurable slice of it.
+        # attribute churn was a measurable slice of it.
         best_get = best.get
         join_cost = self.cost_model.join_cost
         shape_admits = self._shape_admits

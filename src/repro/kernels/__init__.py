@@ -1,73 +1,19 @@
-"""Vectorized hot-loop backends (``REPRO_KERNELS=python|numpy``).
+"""Vectorized hot loops: the one production path for the pricing stack.
 
-The three hottest loops of the reproduction — connected-subgraph
-enumeration, the truth oracle's bottom-up materialisation, and the DP
-enumerator's candidate pricing — exist twice: the original pure-python
-reference implementations, and batched numpy kernels in this package
-that produce **bit-identical** results (same counts, same plan choices,
-same cost floats, same stored bytes).  The python paths stay the
-semantic ground truth; the differential tests in
-``tests/test_truth_differential.py``, ``tests/test_dp.py`` and
-``tests/test_kernels.py`` hold the two pinned together.
+The three hottest loops of the reproduction run as batched numpy
+kernels over packed-bitset subsets:
 
-Backend selection is environment-driven so that multiprocessing
-workers (fork *and* spawn start methods) inherit it without any spec
-plumbing: the active backend is an execution policy, not cell content,
-exactly like ``oracle_processes`` — it is deliberately not part of any
-sweep fingerprint.  Components that want an explicit override
-(:class:`~repro.enumeration.context.QueryContext`,
-:class:`~repro.cardinality.truth.TrueCardinalities`,
-:class:`~repro.pipeline.resources.WorkloadResources`) accept a
-``kernels`` argument that takes precedence over the environment.
+* :mod:`repro.kernels.subgraph` — connected-subgraph and csg–cmp-pair
+  enumeration (behind :mod:`repro.query.subgraphs`);
+* :mod:`repro.kernels.oracle` — the truth oracle's level-batched
+  semi-join materialisation (behind
+  :class:`~repro.cardinality.truth.TrueCardinalities`);
+* :mod:`repro.kernels.dp` — one union-size level of DP candidates
+  priced per call (behind :class:`~repro.enumeration.dp.DPEnumerator`).
+
+The pure-python loops they replaced live in ``tests/reference/`` as the
+differential oracle: ``tests/test_kernels.py``,
+``tests/test_truth_differential.py`` and ``tests/test_dp.py`` pin the
+kernels to them element for element — same subset lists, same counts,
+same plans, same cost floats.
 """
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-
-#: environment variable naming the active backend
-ENV_VAR = "REPRO_KERNELS"
-
-#: recognised backend names
-BACKENDS = ("python", "numpy")
-
-
-def active_backend() -> str:
-    """The process-wide backend: ``$REPRO_KERNELS`` or ``"python"``."""
-    name = os.environ.get(ENV_VAR)
-    if name is None or name == "":
-        return "python"
-    return resolve_backend(name)
-
-
-def resolve_backend(name: str | None) -> str:
-    """Validate an explicit backend name; ``None`` defers to the env."""
-    if name is None:
-        return active_backend()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; choose from "
-            f"{', '.join(BACKENDS)}"
-        )
-    return name
-
-
-def set_backend(name: str) -> None:
-    """Set the process-wide backend (exported so child workers inherit)."""
-    os.environ[ENV_VAR] = resolve_backend(name)
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily switch the process-wide backend (tests, benchmarks)."""
-    resolve_backend(name)
-    previous = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = previous

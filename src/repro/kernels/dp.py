@@ -1,18 +1,19 @@
 """Batched DP pricing: one union-size level of csg–cmp pairs per call.
 
-The python reference (:class:`~repro.enumeration.dp.DPEnumerator`) walks
-``catalog.pair_edges`` one pair at a time, builds a :class:`JoinNode`
-per candidate, prices it, and keeps the first strict improvement.  This
-kernel prices *every* candidate of a union-size level in a handful of
-array operations and only constructs the plan nodes that actually win —
-the counts, winning plans, and costs are bit-identical:
+The scalar loop (:meth:`~repro.enumeration.dp.DPEnumerator.
+optimize_scalar`) walks ``catalog.pair_edges`` one pair at a time,
+builds a :class:`JoinNode` per candidate, prices it, and keeps the
+first strict improvement.  This kernel prices *every* candidate of a
+union-size level in a handful of array operations and only constructs
+the plan nodes that actually win — the winning plans and costs are
+bit-identical:
 
-* the candidate *visit order* of the reference loop (pair position →
+* the candidate *visit order* of the scalar loop (pair position →
   orientation → algorithm) is encoded as an integer ``rank``; a winner
   per union is the candidate with minimal ``(cost, rank)``, which is
   exactly "first candidate achieving the global minimum under strict
   ``<``";
-* cost arithmetic preserves the reference's float association
+* cost arithmetic preserves the scalar loop's float association
   (``(cost_a + op_cost) + cost_b``) elementwise in float64, so every
   total is the identical IEEE double;
 * candidate structure (which pairs admit an index-nested-loop join,
@@ -20,12 +21,12 @@ the counts, winning plans, and costs are bit-identical:
   restriction admits) depends only on the catalog, physical design, and
   enumerator knobs — it is built once and cached per catalog.
 
-The kernel declines (returns ``None``, caller falls back to the python
-loop) when the cost model does not opt in via ``batch_join_costs``, when
-sort-merge joins are enabled (their cost is not batched), or when a NaN
-shows up in any cardinality or cost array — NaN comparison semantics in
-the reference loop are subtle enough that falling back is safer than
-emulating them.
+The kernel declines (returns ``None``, and the enumerator runs the
+scalar loop) only on inputs it cannot price: a cost model without
+``batch_join_costs`` (the PostgreSQL models), sort-merge joins enabled
+(their cost is not batched), or a NaN in any cardinality or cost array
+— NaN comparison semantics in the scalar loop are subtle enough that
+running it is safer than emulating them.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import EnumerationError
-from repro.kernels.subgraph import MAX_VERTICES, popcounts
+from repro.kernels.subgraph import popcounts
 from repro.plans.plan import JoinNode, PlanNode
 from repro.plans.shapes import TreeShape
 
-#: algorithm codes used in the candidate tables, in the reference
+#: algorithm codes used in the candidate tables, in the scalar loop's
 #: candidate-generation order (hash → nlj → inlj; smj is never batched)
 ALGO_HASH, ALGO_NLJ, ALGO_INLJ = 0, 1, 2
 _ALGO_NAMES = ("hash", "nlj", "inlj")
@@ -56,7 +57,7 @@ class _CandidateTables:
     b: np.ndarray  # csg position of the right input
     u: np.ndarray  # csg position of the union
     algo: np.ndarray  # ALGO_* code
-    rank: np.ndarray  # reference-loop visit order (strictly increasing)
+    rank: np.ndarray  # scalar-loop visit order (strictly increasing)
     pair: np.ndarray  # position in catalog.pair_edges (for the edge list)
     level_bounds: list[tuple[int, int]]  # candidate row range per union size
     unf_rows: np.ndarray  # inlj rows whose fetched size is unfiltered
@@ -67,7 +68,7 @@ class _CandidateTables:
 def _build_tables(context, design, shape, allow_nlj) -> _CandidateTables:
     # Shape admission mirrors ``DPEnumerator._shape_admits`` statically:
     # singletons are always priced as ScanNode leaves and composites as
-    # JoinNodes, so the reference's isinstance test reduces to a
+    # JoinNodes, so the scalar loop's isinstance test reduces to a
     # popcount test on the subset — catalog-static, cacheable.
     catalog = context.catalog
     query = context.query
@@ -212,10 +213,6 @@ _vector_cache: "weakref.WeakKeyDictionary[object, weakref.WeakKeyDictionary]" = 
 
 
 def _vectors_for(card, tables) -> _CardVectors | None:
-    from repro.util.flags import plan_cache_enabled
-
-    if not plan_cache_enabled():
-        return None
     try:
         per_card = _vector_cache.get(card)
         if per_card is None:
@@ -247,12 +244,12 @@ def optimize_batched(enumerator, context, card):
     """Level-batched equivalent of ``DPEnumerator.optimize``.
 
     Returns ``(plan, cost)`` — the identical plan tree and IEEE-identical
-    cost the python loop would produce (``est_rows`` not yet annotated) —
-    or ``None`` to signal the caller to fall back to the reference loop.
+    cost the scalar loop would produce (``est_rows`` not yet annotated) —
+    or ``None`` when the input needs the scalar loop (see module docs).
     """
     query = context.query
     n = query.n_relations
-    if n > MAX_VERTICES or enumerator.allow_smj:
+    if enumerator.allow_smj:
         return None
     model = enumerator.cost_model
     if not hasattr(model, "batch_join_costs"):
@@ -303,10 +300,7 @@ def optimize_batched(enumerator, context, card):
     if len(t.unf_rows):
         unf = vec.unf if vec is not None else None
         if unf is None:
-            if (
-                isinstance(estimator, TrueCardinalities)
-                and estimator._backend() == "numpy"
-            ):
+            if isinstance(estimator, TrueCardinalities):
                 # the truth oracle answers these with real joins —
                 # bulk-warm its cache with one batched probe per
                 # expansion relation
@@ -362,7 +356,7 @@ def optimize_batched(enumerator, context, card):
         if np.isnan(total).any():
             return None
         # winner per union: minimal cost, earliest visit rank on ties —
-        # exactly the reference loop's strict-< improvement rule
+        # exactly the scalar loop's strict-< improvement rule
         order = np.lexsort((t.rank[rows], total, u))
         u_sorted = u[order]
         firsts = np.ones(len(order), dtype=bool)

@@ -2,9 +2,10 @@
 
 Every oracle join has the same shape: an already-materialised *parent*
 result (compressed to its outgoing key columns) extended by one base
-relation along the expansion edge(s).  The python path re-gathers and
-re-encodes the base relation's key columns and sorts the *parent* side
-for every single join; this kernel inverts that:
+relation along the expansion edge(s).  A plain per-join equi-join (the
+reference in ``tests/reference/truth.py``) re-gathers and re-encodes the
+base relation's key columns and sorts the *parent* side for every
+single join; this kernel inverts that:
 
 * the base-relation side is built **once** per ``(alias, key columns,
   filtered)`` into a sorted probe (:class:`_Probe`) cached on the
@@ -22,10 +23,10 @@ for every single join; this kernel inverts that:
 Only *counts* (and which rows pair with which) are observable through
 the oracle's interface — the internal row order of a materialisation is
 not — so the kernel is free to emit matches in parent-major order where
-the python path emits right-major order.  Counts, the ``max_rows``
-guard, and every downstream join result are bit-identical; the
-differential tests in ``tests/test_truth_differential.py`` compare the
-two backends end to end.
+the reference emits right-major order.  Counts, the ``max_rows`` guard,
+and every downstream join result are bit-identical; the differential
+tests in ``tests/test_truth_differential.py`` compare the two end to
+end.
 
 Multi-column probes encode composite keys with base-side value ranges
 (strides); when the range product would overflow int64 the join falls
@@ -67,13 +68,10 @@ class _Probe:
     mins: list[int] | None
     ranges: list[int] | None
     fallback: bool
-    #: lazily-built code histogram (see :func:`_match_counts` /
-    #: :func:`_count_matches`); ``hist_starts`` is its exclusive prefix
-    #: sum — the first position of each code in ``sorted_codes``, which
-    #: replaces binary search entirely for in-range codes.
+    #: lazily-built code histogram (see :func:`_ensure_hist`), which
+    #: replaces binary search entirely for in-range codes;
     #: ``hist_tried`` marks the build attempt so an over-wide code range
     #: is only measured once
-    hist: np.ndarray | None = None
     hist_starts: np.ndarray | None = None
     hist_lo: int = 0
     hist_tried: bool = False
@@ -108,11 +106,11 @@ def _edges_between(state, a: int, b: int):
     The graph is immutable and the oracle asks for the same (parent,
     expansion bit) edge lists over and over — once during the bottom-up
     walk and again for every unfiltered-intermediate probe the DP layer
-    requests — so the python edge scan is worth caching per query state.
-    When ``b`` is a single vertex (every oracle expansion), the scan
-    walks only that vertex's adjacency list instead of the full bit
-    cross-product; the ascending-``i`` walk reproduces the python edge
-    order exactly.
+    requests — so the edge scan is worth caching per query state.  When
+    ``b`` is a single vertex (every oracle expansion), the scan walks
+    only that vertex's adjacency list instead of the full bit
+    cross-product; the ascending-``i`` walk reproduces the
+    ``edges_between`` order exactly.
     """
     cache = getattr(state, "kernel_edges", None)
     if cache is None:
@@ -217,12 +215,23 @@ def _left_codes(probe: _Probe, left_cols: list[np.ndarray]) -> np.ndarray:
     return np.where(ok, codes, np.int64(-1))
 
 
-#: widest base-side code range a count histogram is built for
+#: a probe gets a count histogram only when its code range is at most
+#: this many times its row count (plus a small floor), and never wider
+#: than ``_HIST_LIMIT`` codes: a sparse range would spend memory on
+#: empty buckets that binary search does without
+_HIST_DENSITY = 4
+_HIST_FLOOR = 1 << 12
 _HIST_LIMIT = 1 << 22
 
 
 def _ensure_hist(probe) -> None:
-    """Build the probe's per-code count histogram once, if it fits."""
+    """Build the probe's code histogram once, if its range is dense.
+
+    The histogram is stored as ``hist_starts``: entry ``c`` is the first
+    position of code ``hist_lo + c`` in ``sorted_codes`` and the final
+    entry is their count, so a code's match count is the difference of
+    two neighbouring entries.
+    """
     if probe.hist_tried:
         return
     probe.hist_tried = True
@@ -230,59 +239,47 @@ def _ensure_hist(probe) -> None:
     if len(sc):
         lo = int(sc[0])
         span = int(sc[-1]) - lo + 1
-        if span <= _HIST_LIMIT:
-            probe.hist = np.bincount(sc - np.int64(lo), minlength=span)
-            probe.hist_starts = probe.hist.cumsum() - probe.hist
+        if span <= min(_HIST_LIMIT, _HIST_DENSITY * len(sc) + _HIST_FLOOR):
+            starts = np.zeros(span + 1, dtype=np.int64)
+            np.cumsum(np.bincount(sc - np.int64(lo), minlength=span),
+                      out=starts[1:])
+            probe.hist_starts = starts
             probe.hist_lo = lo
 
 
-def _hist_counts(probe, codes) -> np.ndarray:
+def _hist_lookup(probe, codes) -> tuple[np.ndarray, np.ndarray]:
+    """Per-code (match count, first position); out-of-range codes get a
+    zero count and an arbitrary position."""
     idx = codes - np.int64(probe.hist_lo)
-    ok = (idx >= 0) & (idx < len(probe.hist))
-    return np.where(
-        ok, probe.hist[np.where(ok, idx, 0)], np.int64(0)
-    ).astype(np.int64, copy=False)
+    ok = (idx >= 0) & (idx < len(probe.hist_starts) - 1)
+    safe = np.where(ok, idx, 0)
+    starts = probe.hist_starts[safe]
+    counts = np.where(ok, probe.hist_starts[safe + 1] - starts, np.int64(0))
+    return counts, starts
 
 
 def _match_counts(probe, codes) -> tuple[np.ndarray, np.ndarray]:
     """Per-row match counts plus first-match positions.
 
-    With the histogram available both come from O(rows) gathers: the
-    counts from the histogram itself, the start positions from its
-    exclusive prefix sum.  A start position is only ever *used* where
-    the count is positive (``_expand_matches`` repeats it ``count``
-    times), and there it equals ``searchsorted(..., "left")`` exactly —
-    out-of-range codes get an arbitrary start and a zero count, just
-    like the binary-search path's unused insertion points.
+    With the histogram available both come from O(rows) gathers.  A
+    start position is only ever *used* where the count is positive
+    (``_expand_matches`` repeats it ``count`` times), and there it equals
+    ``searchsorted(..., "left")`` exactly — out-of-range codes get an
+    arbitrary start and a zero count, just like the binary-search path's
+    unused insertion points.
     """
     _ensure_hist(probe)
-    if probe.hist is not None:
-        idx = codes - np.int64(probe.hist_lo)
-        ok = (idx >= 0) & (idx < len(probe.hist))
-        safe = np.where(ok, idx, 0)
-        counts = np.where(ok, probe.hist[safe], np.int64(0)).astype(
-            np.int64, copy=False
-        )
-        return counts, probe.hist_starts[safe]
+    if probe.hist_starts is not None:
+        return _hist_lookup(probe, codes)
     lo = probe.sorted_codes.searchsorted(codes, side="left")
     hi = probe.sorted_codes.searchsorted(codes, side="right")
     return (hi - lo).astype(np.int64, copy=False), lo
 
 
 def _count_matches(probe, codes) -> np.ndarray:
-    """Per-row match counts only (no match positions).
-
-    Count-only probes (the unfiltered-intermediate path) don't need the
-    ``searchsorted`` insertion points, so when the base side's code
-    range is narrow enough a one-time ``bincount`` histogram turns each
-    probe into an O(rows) gather instead of a binary search — the
-    counts are exact integers either way.
-    """
-    _ensure_hist(probe)
-    if probe.hist is None:
-        counts, _lo = _match_counts(probe, codes)
-        return counts
-    return _hist_counts(probe, codes)
+    """Per-row match counts only (no match positions); exact integers
+    whether they come from the histogram or from binary search."""
+    return _match_counts(probe, codes)[0]
 
 
 def _expand_matches(counts, lo, positions):
@@ -349,11 +346,13 @@ def expand_join(
     filtered: bool = True,
     count_only: bool = False,
 ):
-    """One expansion join: ``parent ⋈ relation(bit)``, kernel path.
+    """One expansion join: ``parent ⋈ relation(bit)``.
 
-    Drop-in replacement for ``TrueCardinalities._join`` (same max_rows
-    guard, same compressed result), except the base side comes from the
-    cached probe instead of a freshly gathered singleton result.
+    Applies the ``max_rows`` guard and returns the compressed result;
+    the base side comes from the cached probe rather than a freshly
+    gathered singleton result.  ``filtered=False`` joins the relation
+    before its selection (the unfiltered intermediates INLJ costing
+    needs); ``count_only`` skips the key gather.
     """
     from repro.cardinality.truth import _KeyedResult
 
@@ -422,6 +421,17 @@ class _SideCache(OrderedDict):
         return value
 
 
+def release_caches(state) -> None:
+    """Drop ``state``'s probes and warm side cache.
+
+    Both are pure caches rebuilt on demand, so releasing them between
+    work units trades a rebuild on a later visit for memory: a long-lived
+    oracle otherwise keeps every pinned query's probe histograms alive.
+    """
+    state.kernel_probes = None
+    state.kernel_unfiltered_side = None
+
+
 def _side_cache(state) -> _SideCache:
     """Memory-only unfiltered-count side cache (see ``compute_levels``).
 
@@ -436,6 +446,27 @@ def _side_cache(state) -> _SideCache:
         side = _SideCache()
         state.kernel_unfiltered_side = side
     return side
+
+
+#: most parent rows the warm pass probes in one batched call: bounds the
+#: concatenated code and count arrays that sit beside a level's live
+#: materialisations
+_WARM_BATCH_ROWS = 1 << 16
+
+
+def _row_batches(members, rows_of):
+    """Consecutive runs of ``members`` holding at most
+    ``_WARM_BATCH_ROWS`` rows each (a larger member runs alone)."""
+    batch, rows = [], 0
+    for member in members:
+        n = rows_of(member)
+        if batch and rows + n > _WARM_BATCH_ROWS:
+            yield batch
+            batch, rows = [], 0
+        batch.append(member)
+        rows += n
+    if batch:
+        yield batch
 
 
 def _warm_unfiltered_level(truth, state, subsets) -> None:
@@ -468,19 +499,23 @@ def _warm_unfiltered_level(truth, state, subsets) -> None:
         probe = _probe_for(truth, state, bit, members[0][2], filtered=False)
         if probe.fallback:
             continue
-        code_parts = [
-            _left_codes(
-                probe, _left_columns(state, state.results[outer], b, edges)
-            )
-            for outer, b, edges in members
-        ]
-        bounds = np.cumsum([0] + [len(c) for c in code_parts])
-        counts = _count_matches(probe, np.concatenate(code_parts))
-        totals = np.concatenate(([0], np.cumsum(counts)))
-        for k, (outer, b, _edges) in enumerate(members):
-            side[(outer | b, r_alias)] = int(
-                totals[bounds[k + 1]] - totals[bounds[k]]
-            )
+        for batch in _row_batches(
+            members, lambda m: state.results[m[0]].n_rows
+        ):
+            code_parts = [
+                _left_codes(
+                    probe,
+                    _left_columns(state, state.results[outer], b, edges),
+                )
+                for outer, b, edges in batch
+            ]
+            bounds = np.cumsum([0] + [len(c) for c in code_parts])
+            counts = _count_matches(probe, np.concatenate(code_parts))
+            totals = np.concatenate(([0], np.cumsum(counts)))
+            for k, (outer, b, _edges) in enumerate(batch):
+                side[(outer | b, r_alias)] = int(
+                    totals[bounds[k + 1]] - totals[bounds[k]]
+                )
 
 
 def _rebuild_levels(truth, state, needed: set) -> None:
@@ -553,7 +588,7 @@ def prefetch_unfiltered(truth, query, items) -> None:
     """Bulk-warm the unfiltered-intermediate count cache.
 
     ``items`` is an ordered list of ``(subset, alias)`` requests — the
-    order the python DP loop would issue them in.  All still-uncached,
+    order the scalar DP loop would issue them in.  All still-uncached,
     well-formed items are counted with one dual ``searchsorted`` per
     (expansion relation, key columns) group instead of one python call
     chain each; the ``max_rows`` guard is then applied *in item order*,
@@ -652,13 +687,13 @@ def prefetch_unfiltered(truth, query, items) -> None:
 def compute_levels(
     truth, state, plan, cap: int, warm_unfiltered: bool = False
 ) -> None:
-    """Kernel-backed ``compute_all`` walk: one batched probe per
+    """The sequential ``compute_all`` walk: one batched probe per
     (expansion relation, edge signature) group per size level.
 
-    Mirrors the sequential python walk exactly: same eviction policy,
+    Matches a subset-at-a-time walk exactly: same eviction policy,
     counts stored in level order, and the ``max_rows`` guard raised at
     the first offending subset in level order (earlier subsets' results
-    are already stored when it fires, as in the python path).  With
+    are already stored when it fires).  With
     ``warm_unfiltered`` each level's unfiltered-neighbour counts are
     also probed while the level is live (see
     :func:`_warm_unfiltered_level`).
@@ -681,8 +716,8 @@ def compute_levels(
                 continue
             parent, bit = plan.parent[subset]
             if parent not in state.results:
-                # partially preloaded counts: rebuild the parent chain,
-                # exactly as the python path's recursive _materialize does
+                # partially preloaded counts: rebuild the parent chain
+                # through the oracle's recursive _materialize
                 truth._materialize(state, parent)
             edges = _edges_between(state, parent, bit)
             r_alias = state.query.relation_at(bit.bit_length() - 1).alias
@@ -716,8 +751,7 @@ def compute_levels(
                 span = slice(boundaries[i], boundaries[i + 1])
                 probed[s] = (counts[span], lo[span], None, probe)
 
-        # guard + expand + store, in level order, exactly like the
-        # python walk
+        # guard + expand + store, in level order
         for subset in plan.levels[size]:
             if subset in state.counts and subset not in probed:
                 continue

@@ -1,9 +1,10 @@
 """Vectorized connected-subgraph and csg–cmp-pair enumeration.
 
 Subsets are packed bitsets in ``int64`` arrays (bit i = relation index
-i, exactly the python convention; graphs wider than 62 vertices fall
-back to the python path at the dispatch site).  Both enumerations are
-level-wise breadth-first expansions:
+i, the same convention as python ints; a graph wider than
+:data:`MAX_VERTICES` raises :class:`~repro.errors.EnumerationError`
+naming its query).  Both enumerations are level-wise breadth-first
+expansions:
 
 * a connected set of size k is a connected set of size k-1 plus one
   neighbouring vertex (remove a spanning-tree leaf), so each level is
@@ -15,16 +16,18 @@ level-wise breadth-first expansions:
   ``min(S2) > min(S1)`` canonical orientation are all preserved).
 
 The outputs are *sets* plus a deterministic final sort — identical to
-the recursive ``EnumerateCsg``/``EnumerateCmp`` reference order:
-``connected_subsets`` sorts by ``(popcount, value)``, ``csg_cmp_pairs``
-by ``(popcount(S1|S2), S1|S2, S1)``.  The differential tests compare
-both backends element-for-element, order included.
+the recursive ``EnumerateCsg``/``EnumerateCmp`` order of the python
+reference in ``tests/reference/subgraphs.py``: ``connected_subsets``
+sorts by ``(popcount, value)``, ``csg_cmp_pairs`` by
+``(popcount(S1|S2), S1|S2, S1)``.  ``tests/test_kernels.py`` compares
+the two element-for-element, order included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import EnumerationError
 from repro.query.join_graph import JoinGraph
 
 #: widest graph the packed-int64 representation supports
@@ -64,7 +67,10 @@ def connected_subset_levels(
     """Connected subsets grouped by size; ``levels[k]`` holds size k+1."""
     n = graph.n
     if n > MAX_VERTICES:
-        raise ValueError(f"graph too wide for packed kernels ({n} vertices)")
+        raise EnumerationError(
+            f"query {graph.query.name!r} joins {n} relations; the "
+            f"packed-bitset kernels support at most {MAX_VERTICES}"
+        )
     cap = max_size if max_size is not None else n
     table = neighbor_table(graph)
     level = np.int64(1) << np.arange(n, dtype=np.int64)
@@ -78,10 +84,14 @@ def connected_subset_levels(
     return levels
 
 
-def connected_subsets_numpy(
+def connected_subsets(
     graph: JoinGraph, max_size: int | None = None
 ) -> list[int]:
-    """Drop-in ``connected_subsets``: sorted by (size, value)."""
+    """All connected subsets, sorted by (size, value).
+
+    ``max_size`` caps the subset cardinality (the Figure 3 experiment
+    only needs subexpressions of up to 7 relations).
+    """
     levels = connected_subset_levels(graph, max_size)
     return [int(s) for level in levels for s in level]
 
@@ -96,13 +106,11 @@ def _unique_pairs(s1: np.ndarray, s2: np.ndarray, n: int):
     return stacked[:, 0], stacked[:, 1]
 
 
-def csg_cmp_pairs_numpy(graph: JoinGraph) -> list[tuple[int, int]]:
-    """Drop-in ``csg_cmp_pairs``: every unordered pair once, with the
-    canonical ``min(S1) < min(S2)`` orientation, sorted by
-    ``(popcount(S1|S2), S1|S2, S1)``."""
+def csg_cmp_pairs(graph: JoinGraph) -> list[tuple[int, int]]:
+    """Every csg–cmp pair once, with the canonical ``min(S1) < min(S2)``
+    orientation, sorted by ``(popcount(S1|S2), S1|S2, S1)`` — so a DP
+    loop processes them with both halves already solved."""
     n = graph.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"graph too wide for packed kernels ({n} vertices)")
     table = neighbor_table(graph)
     csgs = np.concatenate(connected_subset_levels(graph))
     # vertices forbidden to S2: everything at or below min(S1)
@@ -154,12 +162,12 @@ def csg_cmp_pairs_numpy(graph: JoinGraph) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(s1, s2)]
 
 
-def expansion_parents_numpy(
+def expansion_parents(
     graph: JoinGraph, csgs: list[int]
 ) -> dict[int, tuple[int, int]]:
     """Bulk ``expansion_parent`` for every composite connected subset.
 
-    The python path scans bits ascending and returns the first ``bit``
+    The reference scans bits ascending and returns the first ``bit``
     whose remainder is connected and adjacent to it.  For a connected
     ``subset``, a connected remainder forces the adjacency (otherwise
     the union would be disconnected), so the parent is simply the
@@ -167,8 +175,6 @@ def expansion_parents_numpy(
     ``isin`` sweep per vertex over the packed csg array.
     """
     n = graph.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"graph too wide for packed kernels ({n} vertices)")
     all_csgs = np.asarray(csgs, dtype=np.int64)
     universe = np.sort(all_csgs)
     subsets = all_csgs[popcounts(all_csgs) >= 2]
@@ -197,8 +203,8 @@ def expansion_parents_numpy(
     }
 
 
-def pair_edges_numpy(graph: JoinGraph, pairs: list[tuple[int, int]]):
-    """Drop-in ``pair_edges`` assembly: crossing edges per csg–cmp pair.
+def pair_edges(graph: JoinGraph, pairs: list[tuple[int, int]]):
+    """``(s1, s2, edges)`` for every csg–cmp pair joined by an edge.
 
     ``graph.edges_between(s1, s2)`` walks ``i`` ascending over the bits
     of ``s1``, ``j`` ascending over the bits of ``s2``, and extends by
@@ -206,13 +212,10 @@ def pair_edges_numpy(graph: JoinGraph, pairs: list[tuple[int, int]]):
     therefore entered under the sort key ``(i_in_s1, j_in_s2)`` — so
     listing every bucket twice (once per orientation), sorting the
     entries by that key, and reading ``np.nonzero`` of the boolean
-    (pair × entry) crossing matrix pair-major reproduces the python
-    edge order exactly.  Only the per-pair nested bit loops are
-    replaced; the edge lists reference the same ``JoinEdge`` objects.
+    (pair × entry) crossing matrix pair-major reproduces the
+    ``edges_between`` order exactly; the edge lists reference the
+    graph's own ``JoinEdge`` objects.
     """
-    n = graph.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"graph too wide for packed kernels ({n} vertices)")
     if not pairs:
         return []
     entries = []  # (i_in_s1, j_in_s2, bucket edge list)

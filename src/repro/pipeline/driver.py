@@ -58,7 +58,6 @@ from repro.pipeline.tasks import (
 )
 from repro.pipeline.truthstore import TruthStore
 from repro.query.query import Query
-from repro.util.flags import resource_cache_enabled
 
 # --------------------------------------------------------------------- #
 # process-level grid-point caches
@@ -72,8 +71,9 @@ from repro.util.flags import resource_cache_enabled
 # statistics, workspaces, truth state) a per-process singleton per grid
 # point.  Capacity 2 covers the realistic "imdb + tpch interleaved"
 # case without letting a scale scan pin every database it visits.
-# ``REPRO_RESOURCE_CACHE=0`` disables both (the benchmark's fresh-build
-# reference path); the cache is execution policy, never cell identity.
+# The cache is execution policy, never cell identity: a caller that
+# wants a fresh build passes ``shared=False`` or calls
+# :func:`clear_grid_caches`.
 
 _DB_CACHE_CAP = 2
 _DB_CACHE: OrderedDict[tuple, object] = OrderedDict()
@@ -106,10 +106,6 @@ def grid_database(spec: SweepSpec | DeepSpec):
     sweep-then-deep-sweep sequence) publish the same generated arrays
     instead of regenerating between pools.
     """
-    if not resource_cache_enabled():
-        return make_database(
-            spec.dataset, spec.scale, spec.seed, correlation=spec.correlation
-        )
     key = _grid_key(spec)
     db = _DB_CACHE.get(key)
     if db is None:
@@ -127,19 +123,15 @@ def grid_database(spec: SweepSpec | DeepSpec):
 def build_resources(
     spec: SweepSpec | DeepSpec,
     truth_root: str | Path | None = None,
-    kernels: str | None = None,
     store_backend: str | None = None,
     db=None,
     shared: bool = False,
 ) -> WorkloadResources:
     """Deterministically build the workload a spec describes.
 
-    ``kernels`` pins the pricing backend for this workload's oracle and
-    enumerators (``None`` defers to ``REPRO_KERNELS``); it is execution
-    policy, not part of the spec — both backends price every cell
-    bit-identically.  ``store_backend`` likewise pins the truth store's
-    storage engine (``None`` defers to ``REPRO_STORE``): storage policy,
-    never part of a cell's identity.
+    ``store_backend`` pins the truth store's storage engine (``None``
+    defers to ``REPRO_STORE``): storage policy, never part of a cell's
+    identity.
 
     ``db`` supplies an already-materialised database (a pool worker's
     shared-memory attach) instead of generating one.  ``shared=True``
@@ -150,13 +142,11 @@ def build_resources(
     cell bit-identically.
     """
     key = None
-    if shared and db is None and resource_cache_enabled():
-        from repro.kernels import resolve_backend
+    if shared and db is None:
         from repro.pipeline.sqlstore import resolve_store_backend
 
         key = _grid_key(spec) + (
             str(truth_root) if truth_root is not None else None,
-            resolve_backend(kernels),
             resolve_store_backend(store_backend),
         )
         cached = _RESOURCES_CACHE.get(key)
@@ -179,9 +169,7 @@ def build_resources(
             dataset=spec.dataset,
             backend=store_backend,
         )
-    resources = WorkloadResources(
-        db=db, queries=queries, truth_store=store, kernels=kernels
-    )
+    resources = WorkloadResources(db=db, queries=queries, truth_store=store)
     if key is not None:
         _RESOURCES_CACHE[key] = resources
         while len(_RESOURCES_CACHE) > _RESOURCES_CAP:
@@ -242,7 +230,6 @@ def price_cells(
                 allow_nlj=config.allow_nlj,
                 allow_smj=config.allow_smj,
                 shape=config.shape,
-                kernels=resources.kernels,
             )
             _, optimal_cost = dp.optimize(ws.context, tcard)
             for e_index in estimator_indices:
@@ -390,12 +377,7 @@ def price_deep_cells(
 
             cost_model = resources.cost_model(config.cost_model)
             design = resources.design(config.indexes)
-            dp = DPEnumerator(
-                cost_model,
-                design,
-                allow_nlj=config.allow_nlj,
-                kernels=resources.kernels,
-            )
+            dp = DPEnumerator(cost_model, design, allow_nlj=config.allow_nlj)
             engine_cfg = (
                 EngineConfig(rehash=config.rehash)
                 if config.work_budget <= 0
@@ -546,12 +528,6 @@ def run_cells(
                 rows.extend(kind.cell_rows(value))
         return rows
 
-    from repro.kernels import resolve_backend
-
-    kernels = resolve_backend(
-        resources.kernels if resources is not None else None
-    )
-
     def _report(
         query: str,
         priced: int,
@@ -571,7 +547,6 @@ def run_cells(
                     setup_seconds=timing.setup_seconds,
                     phases=timing.phases,
                     rows=tuple(unit_rows),
-                    kernels=kernels,
                 )
             )
 

@@ -115,7 +115,7 @@ class QueryWorkspace:
     def __init__(self, query: Query, resources: "WorkloadResources") -> None:
         self.query = query
         self.resources = resources
-        self.context = QueryContext(query, kernels=resources.kernels)
+        self.context = QueryContext(query)
         self._cards: dict[str, BoundCard] = {}
         self._true_card: BoundCard | None = None
         self._truth_pin: object | None = None
@@ -195,7 +195,7 @@ class QueryWorkspace:
         :mod:`repro.cardinality.truth_plan`); counts and stored bytes
         are bit-identical either way.  ``warm_unfiltered`` pre-counts
         the unfiltered intermediates index-nested-loop pricing will ask
-        for (numpy backend only; pure execution policy).
+        for (sequential oracle only; pure execution policy).
         """
         self._ensure_truth_state()
         counts = self.resources.truth.compute_all(
@@ -266,6 +266,9 @@ class WorkloadResources:
     ExperimentSuite` facade all build on it.
     """
 
+    #: read by benchmarks/e2e/stepwise.py as ``DPEnumerator(kernels=...)``
+    kernels = None
+
     def __init__(
         self,
         db: Database,
@@ -273,21 +276,13 @@ class WorkloadResources:
         estimators: dict[str, CardinalityEstimator] | None = None,
         truth: TrueCardinalities | None = None,
         truth_store=None,
-        kernels: str | None = None,
     ) -> None:
         self.db = db
         self.queries = list(queries)
         self.estimators = (
             estimators if estimators is not None else standard_estimators(db)
         )
-        if kernels is not None:
-            from repro.kernels import resolve_backend
-
-            resolve_backend(kernels)  # eager validation
-        self.kernels = kernels
-        self.truth = (
-            truth if truth is not None else TrueCardinalities(db, kernels=kernels)
-        )
+        self.truth = truth if truth is not None else TrueCardinalities(db)
         self.truth_store = truth_store
         self._workspaces: OrderedDict[str, QueryWorkspace] = OrderedDict()
         self._workspace_cap = workspace_cap()

@@ -522,9 +522,6 @@ class UnitReport:
     setup_seconds: float = 0.0
     phases: tuple[tuple[str, float], ...] = ()
     rows: tuple[SweepRow, ...] = ()
-    #: kernel backend that priced the unit ("python" / "numpy"); both
-    #: produce bit-identical rows, so this is provenance, not identity
-    kernels: str = "python"
 
     @property
     def cells_per_second(self) -> float:
@@ -535,7 +532,7 @@ class UnitReport:
 
     def render(self) -> str:
         source = "result cache" if self.priced == 0 else (
-            f"priced {self.priced} ({self.kernels})"
+            f"priced {self.priced}"
             + (f", {self.cached} cached" if self.cached else "")
         )
         timing = (

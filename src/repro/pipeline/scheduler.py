@@ -22,12 +22,12 @@ cell index pairs)`` to workers; workers rebuild the world
 deterministically from the (kind name, spec) pair they received at
 initialisation — one initializer, one worker shim, for every row kind.
 
-Under the default ``shm`` ship mode (:mod:`repro.pipeline.shmem`) the
-pooled path generates the database **once** in the master, publishes
-its columnar arrays into a shared-memory segment, and workers attach
-zero-copy instead of regenerating — the scheduler owns the segment's
-lifecycle (publish before the pool starts, unlink in a ``finally`` once
-it drains).  Workers ship their init cost and database-generation
+The pooled path (:mod:`repro.pipeline.shmem`) generates the database
+**once** in the master, publishes its columnar arrays into a
+shared-memory segment, and workers attach zero-copy instead of
+regenerating — the scheduler owns the segment's lifecycle (publish
+before the pool starts, unlink in a ``finally`` once it drains).
+Workers ship their init cost and database-generation
 counter back with every unit, so the master can both amortise setup
 time honestly (:class:`~repro.pipeline.instrument.UnitTiming`) and
 *prove* that a pooled cold sweep generated each database exactly once
@@ -76,10 +76,10 @@ class PoolStats:
 
     ``db_generations`` maps worker pid -> databases generated *inside*
     that worker since its initializer started (fork-inherited master
-    counts excluded); under the ``shm`` ship mode every worker must
-    report 0 — the master generated once and published.
+    counts excluded); every worker must report 0 — the master generated
+    once and published.
     ``init_seconds`` is each worker's one-time initialisation cost
-    (database attach or regeneration plus resource construction).
+    (database attach plus resource construction).
     """
 
     db_generations: dict[int, int] = field(default_factory=dict)
@@ -91,7 +91,7 @@ class PoolStats:
 
     @property
     def worker_db_generations(self) -> int:
-        """Databases generated inside pool workers (0 under ``shm``)."""
+        """Databases generated inside pool workers (expected: 0)."""
         return sum(self.db_generations.values())
 
     @property
@@ -117,9 +117,10 @@ def _init_worker(
     kind_name: str,
     spec,
     truth_root: str | None,
-    store_backend: str | None = None,
-    manifest=None,
+    store_backend: str | None,
+    manifest,
 ) -> None:
+    from repro.pipeline import shmem
     from repro.pipeline.driver import build_resources
     from repro.pipeline.instrument import COUNTERS, snapshot
     from repro.pipeline.kinds import KINDS
@@ -135,15 +136,11 @@ def _init_worker(
     # machine, so each worker runs its oracle sequentially
     if spec.oracle_processes > 1:
         spec = replace(spec, oracle_processes=1)
-    db = None
-    if manifest is not None:
-        from repro.pipeline import shmem
-
-        db = shmem.attach_database(manifest)
     _WORKER["kind"] = KINDS[kind_name]
     _WORKER["spec"] = spec
     _WORKER["resources"] = build_resources(
-        spec, truth_root, store_backend=store_backend, db=db
+        spec, truth_root, store_backend=store_backend,
+        db=shmem.attach_database(manifest),
     )
     _WORKER["init_seconds"] = time.perf_counter() - started
     # fork-started workers inherit the master's counters; everything the
@@ -203,11 +200,8 @@ class CellScheduler:
     every row kind.  Resources for the sequential path are built lazily,
     so a fully cached sweep never generates its database at all.
 
-    ``ship`` selects how the pooled path distributes the database
-    (``None`` defers to ``$REPRO_SHIP``, default ``shm``): execution
-    policy, never cell identity.  After a pooled run,
-    :attr:`pool_stats` holds the workers' reported init costs and
-    generation counters.
+    After a pooled run, :attr:`pool_stats` holds the workers' reported
+    init costs and generation counters.
     """
 
     def __init__(
@@ -218,17 +212,13 @@ class CellScheduler:
         truth_root: str | Path | None = None,
         resources=None,
         store_backend: str | None = None,
-        ship: str | None = None,
     ) -> None:
-        from repro.pipeline import shmem
-
         self.kind = kind
         self.spec = spec
         self.processes = processes
         self.truth_root = truth_root
         self.resources = resources
         self.store_backend = store_backend
-        self.ship = shmem.resolve_ship(ship)
         self.pool_stats: PoolStats | None = None
 
     def run(
@@ -300,15 +290,12 @@ class CellScheduler:
         return priced
 
     def _publish(self):
-        """Publish the grid's database for worker attach (``shm`` mode).
+        """Publish the grid's database for worker attach.
 
         Reuses an already-built resources object's database when one is
         attached; otherwise generates (through the shared grid cache, so
-        repeated pooled sweeps of one grid point generate once).  Returns
-        ``None`` in ``generate`` mode — workers rebuild, as before.
+        repeated pooled sweeps of one grid point generate once).
         """
-        if self.ship != "shm":
-            return None
         from repro.pipeline import driver, shmem
 
         db = (
@@ -332,14 +319,13 @@ class CellScheduler:
         priced: dict[str, object] = {}
         self.pool_stats = PoolStats()
         published = self._publish()
-        manifest = published.manifest if published is not None else None
         try:
             with ctx.Pool(
                 processes=min(self.processes, max(len(payloads), 1)),
                 initializer=_init_worker,
                 initargs=(
                     self.kind.name, self.spec, truth_arg,
-                    self.store_backend, manifest,
+                    self.store_backend, published.manifest,
                 ),
             ) as pool:
                 for query_name, raw, timing, stats in pool.imap_unordered(
@@ -352,6 +338,5 @@ class CellScheduler:
         finally:
             # the publisher owns the segment: unlink exactly once, even
             # when a worker (or a completion callback) raised mid-drain
-            if published is not None:
-                published.close()
+            published.close()
         return priced

@@ -1,4 +1,4 @@
-"""Shared-memory database shipping (``REPRO_SHIP=shm|generate``).
+"""Shared-memory database shipping for pooled sweeps.
 
 A pooled sweep used to pay a hidden multiplier: every pool worker's
 initializer rebuilt the workload from scratch, so N workers meant N
@@ -30,16 +30,10 @@ master and its siblings still use (CPython registers attaches and
 creates alike).  The master additionally registers the segment with its
 *own* tracker at creation, so even a master killed mid-sweep leaves no
 leaked ``/dev/shm`` entry behind.
-
-Ship *mode* is execution policy, never cell identity: ``REPRO_SHIP``
-(or the explicit ``ship`` argument on the scheduler) selects ``shm``
-(default: publish + attach) or ``generate`` (the legacy per-worker
-rebuild).  Both modes price every cell bit-identically.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 from dataclasses import dataclass
 
@@ -49,33 +43,8 @@ from repro.catalog.column import Column
 from repro.catalog.schema import Database, ForeignKey
 from repro.catalog.table import Table
 
-#: environment variable naming the active ship mode
-ENV_VAR = "REPRO_SHIP"
-
-#: recognised ship modes
-MODES = ("shm", "generate")
-
 #: segment alignment for the int64 views
 _ALIGN = 16
-
-
-def active_ship() -> str:
-    """The process-wide ship mode: ``$REPRO_SHIP`` or ``"shm"``."""
-    name = os.environ.get(ENV_VAR)
-    if name is None or name == "":
-        return "shm"
-    return resolve_ship(name)
-
-
-def resolve_ship(name: str | None) -> str:
-    """Validate an explicit ship mode; ``None`` defers to the env."""
-    if name is None:
-        return active_ship()
-    if name not in MODES:
-        raise ValueError(
-            f"unknown ship mode {name!r}; choose from {', '.join(MODES)}"
-        )
-    return name
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,11 @@ Pragmas: ``journal_mode=WAL`` (readers never block writers),
 never corrupt the database), ``busy_timeout`` (writers queue instead of
 failing), ``foreign_keys=ON``.
 
-Backend selection mirrors the kernels convention: the ``REPRO_STORE``
-environment variable (``json`` | ``sqlite``) is the ambient default,
-every store constructor takes an explicit ``backend=`` override, and
-:func:`set_store_backend` exports the choice to the environment so pool
-and queue workers — fork and spawn alike — inherit it.  The backend is
+Backend selection: the ``REPRO_STORE`` environment variable (``json``
+| ``sqlite``) is the ambient default, every store constructor takes an
+explicit ``backend=`` override, and :func:`set_store_backend` exports
+the choice to the environment so pool and queue workers — fork and
+spawn alike — inherit it.  The backend is
 pure storage policy: both backends hold bit-identical rows, so it is
 never part of a cell key or spec fingerprint.
 """
@@ -47,6 +47,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,6 +151,25 @@ class SqlStoreError(RuntimeError):
     """An incompatible or inconsistent SQLite store file."""
 
 
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s database to WAL, waiting out racing switchers.
+
+    Several processes opening a fresh file at once all ask for the
+    journal-mode change, which needs an exclusive lock; SQLite reports
+    the loser's collision as "database is locked" without consulting the
+    busy handler, so the wait is done here, bounded by the same timeout.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.01)
+
+
 class SqlStore:
     """One ``store.sqlite``: the SQLite face of both stores' content.
 
@@ -178,7 +198,7 @@ class SqlStore:
         conn = sqlite3.connect(
             self.path, timeout=BUSY_TIMEOUT_S, isolation_level=None
         )
-        conn.execute("PRAGMA journal_mode=WAL")
+        _enable_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute("PRAGMA foreign_keys=ON")
         conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")

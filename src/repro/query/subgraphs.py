@@ -4,9 +4,12 @@ Both exhaustive dynamic programming (Section 6) and the exact-cardinality
 oracle (Section 2.4) need the set of *connected* relation subsets of a join
 graph, and DP additionally needs every *csg–cmp pair*: an ordered partition
 ``(S1, S2)`` of a connected set into two connected, edge-adjacent halves.
-We implement the classic ``EnumerateCsg`` / ``EnumerateCmp`` algorithms
-from "Analysis of Two Existing and One New Dynamic Programming Algorithm"
-— each connected subgraph and each pair is produced exactly once.
+Each connected subgraph and each pair is produced exactly once, in the
+order of the classic ``EnumerateCsg`` / ``EnumerateCmp`` algorithms from
+"Analysis of Two Existing and One New Dynamic Programming Algorithm" —
+computed level-wise by the packed-bitset kernels in
+:mod:`repro.kernels.subgraph` (the recursive walk is the test suite's
+reference, ``tests/reference/subgraphs.py``).
 
 Results are cached per join graph in a :class:`SubgraphCatalog`, because
 the structure depends only on the graph, not on cardinalities or cost
@@ -17,120 +20,20 @@ from __future__ import annotations
 
 import weakref
 
+from repro.kernels.subgraph import (
+    connected_subsets,
+    csg_cmp_pairs,
+    expansion_parents,
+    pair_edges,
+)
 from repro.query.join_graph import JoinGraph
 from repro.query.query import JoinEdge
-from repro.util.bitset import bits_of, popcount
+from repro.util.bitset import popcount
 
 
 def is_connected(graph: JoinGraph, subset: int) -> bool:
     """Convenience re-export of :meth:`JoinGraph.is_connected`."""
     return graph.is_connected(subset)
-
-
-def _use_numpy_kernels(graph: JoinGraph) -> bool:
-    """Whether enumeration should go through the vectorized backend.
-
-    Graphs wider than the packed-int64 representation always take the
-    python path (the two backends are bit-identical, so mixing is safe).
-    """
-    from repro.kernels import active_backend
-    from repro.kernels.subgraph import MAX_VERTICES
-
-    return active_backend() == "numpy" and graph.n <= MAX_VERTICES
-
-
-def _enumerate_csg_rec(
-    graph: JoinGraph, subset: int, exclude: int, out: list[int], max_size: int
-) -> None:
-    if popcount(subset) >= max_size:
-        return
-    neigh = graph.neighbors(subset) & ~exclude
-    if not neigh:
-        return
-    # every non-empty subset of the new neighbourhood extends `subset`
-    extensions = []
-    sub = neigh
-    while sub:
-        if popcount(subset) + popcount(sub) <= max_size:
-            out.append(subset | sub)
-            extensions.append(sub)
-        sub = (sub - 1) & neigh
-    for ext in extensions:
-        _enumerate_csg_rec(graph, subset | ext, exclude | neigh, out, max_size)
-
-
-def connected_subsets(graph: JoinGraph, max_size: int | None = None) -> list[int]:
-    """All connected subsets of the join graph, sorted by size then value.
-
-    ``max_size`` caps the subset cardinality (used by the Figure 3
-    experiment, which only needs subexpressions of up to 7 relations).
-    Under ``REPRO_KERNELS=numpy`` the level-wise vectorized expansion in
-    :mod:`repro.kernels.subgraph` produces the identical list.
-    """
-    if _use_numpy_kernels(graph):
-        from repro.kernels.subgraph import connected_subsets_numpy
-
-        return connected_subsets_numpy(graph, max_size)
-    cap = max_size if max_size is not None else graph.n
-    out: list[int] = []
-    for i in range(graph.n - 1, -1, -1):
-        single = 1 << i
-        out.append(single)
-        exclude = (single - 1) | single  # vertices with index <= i
-        _enumerate_csg_rec(graph, single, exclude, out, cap)
-    out.sort(key=lambda s: (popcount(s), s))
-    return out
-
-
-def _enumerate_cmp(
-    graph: JoinGraph, s1: int, out: list[tuple[int, int]]
-) -> None:
-    """Emit every complement S2 for csg ``s1`` (EnumerateCmp)."""
-    min_bit = s1 & -s1
-    b_min = (min_bit - 1) | min_bit  # vertices with index <= min(s1)
-    x = b_min | s1
-    neigh = graph.neighbors(s1) & ~x
-    if not neigh:
-        return
-    seeds = sorted((bit for bit in bits_of(neigh)), reverse=True)
-    for seed in seeds:
-        out.append((s1, seed))
-        lower = (seed - 1) | seed
-        exclude = x | (lower & neigh)
-        _collect_cmp_rec(graph, seed, exclude, s1, out)
-
-
-def _collect_cmp_rec(
-    graph: JoinGraph, s2: int, exclude: int, s1: int, out: list[tuple[int, int]]
-) -> None:
-    neigh = graph.neighbors(s2) & ~exclude
-    if not neigh:
-        return
-    extensions = []
-    sub = neigh
-    while sub:
-        out.append((s1, s2 | sub))
-        extensions.append(sub)
-        sub = (sub - 1) & neigh
-    for ext in extensions:
-        _collect_cmp_rec(graph, s2 | ext, exclude | neigh, s1, out)
-
-
-def csg_cmp_pairs(graph: JoinGraph) -> list[tuple[int, int]]:
-    """Every csg–cmp pair ``(S1, S2)``, each unordered pair emitted once.
-
-    Pairs are sorted by the size of ``S1 | S2`` so that a DP loop can
-    process them in order, with both halves already solved.
-    """
-    if _use_numpy_kernels(graph):
-        from repro.kernels.subgraph import csg_cmp_pairs_numpy
-
-        return csg_cmp_pairs_numpy(graph)
-    pairs: list[tuple[int, int]] = []
-    for s1 in connected_subsets(graph):
-        _enumerate_cmp(graph, s1, pairs)
-    pairs.sort(key=lambda p: (popcount(p[0] | p[1]), p[0] | p[1], p[0]))
-    return pairs
 
 
 class SubgraphCatalog:
@@ -161,8 +64,7 @@ class SubgraphCatalog:
         self._csg_set: set[int] | None = None
         self._pairs: list[tuple[int, int]] | None = None
         self._pair_edges: list[tuple[int, int, list[JoinEdge]]] | None = None
-        self._parents: dict[int, tuple[int, int]] = {}
-        self._parents_prefilled = False
+        self._parents: dict[int, tuple[int, int]] | None = None
 
     @property
     def csgs(self) -> list[int]:
@@ -179,17 +81,7 @@ class SubgraphCatalog:
     @property
     def pair_edges(self) -> list[tuple[int, int, list[JoinEdge]]]:
         if self._pair_edges is None:
-            graph = self.graph
-            if _use_numpy_kernels(graph):
-                from repro.kernels.subgraph import pair_edges_numpy
-
-                self._pair_edges = pair_edges_numpy(graph, self.pairs)
-            else:
-                self._pair_edges = [
-                    (s1, s2, edges)
-                    for s1, s2 in self.pairs
-                    if (edges := graph.edges_between(s1, s2))
-                ]
+            self._pair_edges = pair_edges(self.graph, self.pairs)
         return self._pair_edges
 
     def is_csg(self, subset: int) -> bool:
@@ -205,27 +97,14 @@ class SubgraphCatalog:
         truth oracle uses it to build each subexpression's exact result by
         joining one relation onto an already-materialised smaller result.
         """
-        cached = self._parents.get(subset)
-        if cached is not None:
-            return cached
         if popcount(subset) < 2:
             raise ValueError("expansion parent of a singleton subset")
-        if _use_numpy_kernels(self.graph) and not self._parents_prefilled:
-            from repro.kernels.subgraph import expansion_parents_numpy
-
-            self._parents_prefilled = True
-            prefilled = expansion_parents_numpy(self.graph, self.csgs)
-            prefilled.update(self._parents)  # keep any earlier answers
-            self._parents = prefilled
-            cached = self._parents.get(subset)
-            if cached is not None:
-                return cached
-        for bit in bits_of(subset):
-            rest = subset ^ bit
-            if self.graph.is_connected(rest) and self.graph.connects(rest, bit):
-                self._parents[subset] = (rest, bit)
-                return rest, bit
-        raise ValueError(f"subset {subset:#x} is not connected")
+        if self._parents is None:
+            self._parents = expansion_parents(self.graph, self.csgs)
+        parent = self._parents.get(subset)
+        if parent is None:
+            raise ValueError(f"subset {subset:#x} is not connected")
+        return parent
 
 
 #: weakly-held process-wide cache: entries evaporate as soon as no caller

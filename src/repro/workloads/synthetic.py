@@ -8,8 +8,8 @@ length-``n`` chain has ``n·(n+1)/2`` of them, and every composite
 materialisation sits at the end of a maximal-length expansion chain.
 That shape is the worst case for per-subset python overhead and the
 best case for the level-batched numpy kernels, which makes it the
-natural scale benchmark (``benchmarks/test_bench_kernels.py`` prices a
-16-relation chain end to end under the numpy backend).
+natural scale case (``tests/test_kernels.py`` prices a 16-relation
+chain end to end).
 
 Row counts are uniform and every foreign key lands on an existing
 parent row, so intermediate results never exceed the base-table size —

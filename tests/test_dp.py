@@ -5,14 +5,16 @@ import itertools
 import pytest
 
 from repro.cardinality import PostgresEstimator, TrueCardinalities
+from repro.cardinality.base import CardinalityEstimator
 from repro.cost import SimpleCostModel
 from repro.cost.base import plan_cost
 from repro.enumeration import DPEnumerator, QueryContext
 from repro.enumeration.candidates import candidate_joins
 from repro.errors import EnumerationError
+from repro.kernels.dp import optimize_batched
 from repro.physical import IndexConfig, PhysicalDesign
 from repro.plans import JoinNode, TreeShape, classify_shape, satisfies_shape
-from repro.plans.plan import PlanNode, ScanNode
+from repro.plans.plan import PlanNode, ScanNode, annotate_estimates
 from repro.query.predicates import Comparison
 from repro.query.query import JoinEdge, Query, Relation
 from repro.workloads import job_query
@@ -185,27 +187,10 @@ class TestDPProperties:
         assert "nlj" not in algorithms
         assert "inlj" not in algorithms  # no indexes in this design
 
-    def test_kernels_arg_overrides_environment(self, toy_db):
-        """An explicit ``DPEnumerator(kernels=...)`` wins over the env."""
-        from repro.kernels import use_backend
-
-        q = _toy_query()
-        model = SimpleCostModel(toy_db)
-        design = PhysicalDesign(toy_db, IndexConfig.PK_FK)
-        card = TrueCardinalities(toy_db).bind(q)
-        with use_backend("numpy"):
-            dp = DPEnumerator(model, design, kernels="python")
-            plan, cost = dp.optimize(QueryContext(q), card)
-        reference, ref_cost = DPEnumerator(model, design).optimize(
-            QueryContext(q), TrueCardinalities(toy_db).bind(q)
-        )
-        assert repr(plan) == repr(reference)
-        assert cost.hex() == ref_cost.hex()
-
     def test_unknown_kernels_name_rejected(self, toy_db):
         model = SimpleCostModel(toy_db)
         design = PhysicalDesign(toy_db, IndexConfig.PK_FK)
-        with pytest.raises(ValueError, match="unknown kernel backend"):
+        with pytest.raises(ValueError, match="only pricing path"):
             DPEnumerator(model, design, kernels="cuda")
 
     def test_recost_under_truth_not_below_true_optimum(self, imdb_tiny):
@@ -223,26 +208,42 @@ class TestDPProperties:
         assert dp.recost(est_plan, tcard) >= true_optimal - 1e-9
 
 
+class _NanAtRoot(CardinalityEstimator):
+    """Truth everywhere except a NaN for the full join."""
+
+    name = "nan-at-root"
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def cardinality(self, query, subset, unfiltered_alias=None):
+        if subset == query.all_mask:
+            return float("nan")
+        return self.inner.cardinality(query, subset, unfiltered_alias)
+
+
 class TestKernelBackendParity:
-    """DP pricing is bit-identical across kernel backends: the chosen
-    plan's repr and the cost float (compared via ``.hex()``) must agree
-    exactly — ties included, which is what the rank-encoded winner
+    """The batched pricer against the scalar loop, called directly: the
+    chosen plan's repr and the cost float (compared via ``.hex()``) must
+    agree exactly — ties included, which is what the rank-encoded winner
     selection in :mod:`repro.kernels.dp` guarantees."""
 
     @staticmethod
-    def _optimize(db, query, backend, *, config=IndexConfig.PK_FK,
+    def _optimize(db, query, path, *, config=IndexConfig.PK_FK,
                   allow_nlj=True, shape=TreeShape.BUSHY, estimator=None):
-        from repro.kernels import use_backend
-
-        with use_backend(backend):
-            model = SimpleCostModel(db)
-            design = PhysicalDesign(db, config)
-            card = (estimator(db) if estimator is not None
-                    else TrueCardinalities(db)).bind(query)
-            dp = DPEnumerator(
-                model, design, allow_nlj=allow_nlj, shape=shape
-            )
-            plan, cost = dp.optimize(QueryContext(query), card)
+        model = SimpleCostModel(db)
+        design = PhysicalDesign(db, config)
+        card = (estimator(db) if estimator is not None
+                else TrueCardinalities(db)).bind(query)
+        dp = DPEnumerator(model, design, allow_nlj=allow_nlj, shape=shape)
+        context = QueryContext(query)
+        if path == "numpy":
+            batched = optimize_batched(dp, context, card)
+            assert batched is not None, "the batched pricer declined"
+            plan, cost = batched
+            annotate_estimates(plan, card)
+        else:
+            plan, cost = dp.optimize_scalar(context, card)
         return repr(plan), cost.hex()
 
     @pytest.mark.parametrize("seed", range(6))
@@ -287,3 +288,32 @@ class TestKernelBackendParity:
             == self._optimize(imdb_tiny, q, "python", shape=shape,
                               allow_nlj=False)
         )
+
+    @pytest.mark.parametrize("inputs", ["smj", "postgres-cost", "nan-card"])
+    def test_scalar_loop_prices_what_the_kernel_declines(
+        self, imdb_tiny, inputs
+    ):
+        """The pricing path is chosen from observable input properties:
+        sort-merge joins, a cost model without ``batch_join_costs`` and
+        NaN cardinalities go to the scalar loop, which :meth:`optimize`
+        then returns unchanged."""
+        from repro.cost import PostgresCostModel
+
+        q = job_query("3a")
+        design = PhysicalDesign(imdb_tiny, IndexConfig.PK_FK)
+        card = TrueCardinalities(imdb_tiny).bind(q)
+        model = SimpleCostModel(imdb_tiny)
+        allow_smj = False
+        if inputs == "smj":
+            allow_smj = True
+        elif inputs == "postgres-cost":
+            model = PostgresCostModel(imdb_tiny)
+        else:
+            card = _NanAtRoot(TrueCardinalities(imdb_tiny)).bind(q)
+        dp = DPEnumerator(model, design, allow_smj=allow_smj)
+        context = QueryContext(q)
+        assert optimize_batched(dp, context, card) is None
+        plan, cost = dp.optimize(context, card)
+        scalar_plan, scalar_cost = dp.optimize_scalar(context, card)
+        assert repr(plan) == repr(scalar_plan)
+        assert cost.hex() == scalar_cost.hex()

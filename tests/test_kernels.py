@@ -1,32 +1,27 @@
-"""Differential harness for the vectorized kernel backends.
+"""Differential harness for the vectorized kernels.
 
-``repro.kernels`` re-implements the three hottest loops — subgraph
-enumeration, oracle materialisation, DP candidate pricing — as batched
-numpy kernels behind the existing interfaces.  The contract is
-**bit-identity**: same subset lists, same ``JoinEdge`` objects, same
-counts, same plan reprs, same cost floats, same stored bytes.  The
-truth-oracle and DP ends of that contract live in
-``test_truth_differential.py`` and ``test_dp.py``; this module pins the
-selection machinery, the enumeration kernels, the shared key encoder,
-and the end-to-end sweep (rows *and* persisted truth files).
+``repro.kernels`` is the one production path for the three hottest
+loops — subgraph enumeration, oracle materialisation, DP candidate
+pricing.  The contract against the pure-python reference in
+``tests/reference/`` is **bit-identity**: same subset lists, same
+``JoinEdge`` objects, same counts, same plan reprs, same cost floats,
+same stored bytes.  The truth-oracle and DP ends of that contract live
+in ``test_truth_differential.py`` and ``test_dp.py``; this module pins
+the enumeration kernels, the shared key encoder, and the end-to-end
+sweep (rows *and* persisted truth files).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
+from repro.cardinality import TrueCardinalities
 from repro.catalog.column import NULL_INT
-from repro.kernels import (
-    ENV_VAR,
-    active_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from repro.errors import EnumerationError
+from repro.kernels.subgraph import MAX_VERTICES
 from repro.query.join_graph import JoinGraph
+from repro.query.query import JoinEdge, Query, Relation
 from repro.query.subgraphs import (
     SubgraphCatalog,
     connected_subsets,
@@ -36,57 +31,9 @@ from repro.util.bitset import popcount
 from repro.util.joinkeys import combine_keys
 from repro.workloads import job_query
 
+from reference import subgraphs as reference
+from reference.truth import ReferenceTrueCardinalities
 from test_truth_differential import _random_case
-
-
-# --------------------------------------------------------------------- #
-# backend selection
-# --------------------------------------------------------------------- #
-
-
-class TestBackendSelection:
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert active_backend() == "python"
-
-    def test_environment_selects(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert active_backend() == "numpy"
-
-    def test_explicit_name_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert resolve_backend("python") == "python"
-
-    def test_none_defers_to_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert resolve_backend(None) == "numpy"
-
-    @pytest.mark.parametrize("api", [resolve_backend, set_backend])
-    def test_unknown_backend_rejected(self, api):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            api("cuda")
-
-    def test_unknown_environment_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fortran")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            active_backend()
-
-    def test_use_backend_restores_previous(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        with use_backend("numpy"):
-            assert active_backend() == "numpy"
-        assert active_backend() == "python"
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        with use_backend("python"):
-            assert active_backend() == "python"
-        assert active_backend() == "numpy"
-
-    def test_set_backend_exports_to_environment(self, monkeypatch):
-        """Child workers inherit the choice through the environment,
-        under fork and spawn start methods alike."""
-        monkeypatch.setenv(ENV_VAR, "python")
-        set_backend("numpy")
-        assert os.environ[ENV_VAR] == "numpy"
 
 
 # --------------------------------------------------------------------- #
@@ -110,66 +57,58 @@ class TestSubgraphParity:
     @pytest.mark.parametrize("case", SUBGRAPH_CASES)
     def test_connected_subsets_identical(self, case):
         graph = JoinGraph(_case_query(case))
-        with use_backend("python"):
-            reference = connected_subsets(graph)
-        with use_backend("numpy"):
-            vectorized = connected_subsets(graph)
-        assert vectorized == reference
+        assert connected_subsets(graph) == reference.connected_subsets(graph)
 
     @pytest.mark.parametrize("case", ["13d", 2])
     @pytest.mark.parametrize("max_size", [1, 2, 3, 7])
     def test_connected_subsets_max_size_identical(self, case, max_size):
         graph = JoinGraph(_case_query(case))
-        with use_backend("python"):
-            reference = connected_subsets(graph, max_size)
-        with use_backend("numpy"):
-            vectorized = connected_subsets(graph, max_size)
-        assert vectorized == reference
+        assert connected_subsets(graph, max_size) == (
+            reference.connected_subsets(graph, max_size)
+        )
 
     @pytest.mark.parametrize("case", SUBGRAPH_CASES)
     def test_csg_cmp_pairs_identical(self, case):
         graph = JoinGraph(_case_query(case))
-        with use_backend("python"):
-            reference = csg_cmp_pairs(graph)
-        with use_backend("numpy"):
-            vectorized = csg_cmp_pairs(graph)
-        assert vectorized == reference
+        assert csg_cmp_pairs(graph) == reference.csg_cmp_pairs(graph)
 
     @pytest.mark.parametrize("case", ["3a", "29a", 0, 3])
     def test_pair_edges_same_objects(self, case):
-        """Not just equal: the numpy path must hand back the graph's own
-        ``JoinEdge`` instances, in the python path's order."""
+        """Not just equal: the kernel must hand back the graph's own
+        ``JoinEdge`` instances, in ``edges_between`` order."""
         graph = JoinGraph(_case_query(case))
-        with use_backend("python"):
-            reference = SubgraphCatalog(graph).pair_edges
-        with use_backend("numpy"):
-            vectorized = SubgraphCatalog(graph).pair_edges
-        assert len(vectorized) == len(reference)
-        for (s1, s2, edges), (r1, r2, ref_edges) in zip(
-            vectorized, reference
-        ):
+        vectorized = SubgraphCatalog(graph).pair_edges
+        expected = reference.pair_edges(graph)
+        assert len(vectorized) == len(expected)
+        for (s1, s2, edges), (r1, r2, ref_edges) in zip(vectorized, expected):
             assert (s1, s2) == (r1, r2)
             assert len(edges) == len(ref_edges)
             assert all(e is r for e, r in zip(edges, ref_edges))
 
     @pytest.mark.parametrize("case", ["13d", "29a", 1, 4])
     def test_expansion_parents_identical(self, case):
-        query = _case_query(case)
-        with use_backend("python"):
-            catalog = SubgraphCatalog(JoinGraph(query))
-            reference = {
-                s: catalog.expansion_parent(s)
-                for s in catalog.csgs
-                if popcount(s) > 1
-            }
-        with use_backend("numpy"):
-            catalog = SubgraphCatalog(JoinGraph(query))
-            vectorized = {
-                s: catalog.expansion_parent(s)
-                for s in catalog.csgs
-                if popcount(s) > 1
-            }
-        assert vectorized == reference
+        graph = JoinGraph(_case_query(case))
+        catalog = SubgraphCatalog(graph)
+        for subset in catalog.csgs:
+            if popcount(subset) > 1:
+                assert catalog.expansion_parent(subset) == (
+                    reference.expansion_parent(graph, subset)
+                )
+
+    def test_too_wide_graph_names_its_query(self):
+        n = MAX_VERTICES + 1
+        query = Query(
+            "wide",
+            [Relation(f"r{i}", "t") for i in range(n)],
+            {},
+            [
+                JoinEdge(f"r{i}", "ref", f"r{i - 1}", "id", "pk_fk",
+                         pk_side=f"r{i - 1}")
+                for i in range(1, n)
+            ],
+        )
+        with pytest.raises(EnumerationError, match="'wide' joins 63"):
+            connected_subsets(JoinGraph(query))
 
 
 # --------------------------------------------------------------------- #
@@ -218,33 +157,50 @@ class TestChainCase:
         assert len(connected_subsets(graph)) == 8 * 9 // 2
 
     def test_oracle_and_dp_parity(self):
-        """A small chain instance end to end: counts and the chosen plan
-        must be bit-identical across backends (the 16-relation instance
-        runs in ``benchmarks/test_bench_kernels.py``)."""
-        from repro.cardinality import TrueCardinalities
-        from repro.cost import SimpleCostModel
-        from repro.enumeration import DPEnumerator, QueryContext
-        from repro.physical import IndexConfig, PhysicalDesign
+        """A small chain instance end to end: the kernel oracle and the
+        batched pricer against the reference oracle and the scalar loop
+        — identical counts, plan and cost bits."""
         from repro.workloads import chain_case
 
         db, query = chain_case(n_relations=8, n_rows=60)
-        outputs = {}
-        for backend in ("python", "numpy"):
-            with use_backend(backend):
-                oracle = TrueCardinalities(db)
-                counts = oracle.compute_all(
-                    query, warm_unfiltered=(backend == "numpy")
-                )
-                dp = DPEnumerator(
-                    SimpleCostModel(db),
-                    PhysicalDesign(db, IndexConfig.PK_FK),
-                    allow_nlj=True,
-                )
-                plan, cost = dp.optimize(
-                    QueryContext(query), oracle.bind(query)
-                )
-            outputs[backend] = (counts, repr(plan), cost.hex())
-        assert outputs["numpy"] == outputs["python"]
+        production = _price_chain(db, query, TrueCardinalities, "optimize")
+        expected = _price_chain(
+            db, query, ReferenceTrueCardinalities, "optimize_scalar"
+        )
+        assert production == expected
+
+    def test_chain16_prices_end_to_end(self):
+        """A 16-relation chain prices end to end with no ``max_rows`` cap
+        — 136 connected subsets, every one on a maximal-depth expansion
+        chain."""
+        from repro.workloads import chain_case
+
+        db, query = chain_case(n_relations=16)
+        counts, plan_repr, cost_hex = _price_chain(
+            db, query, TrueCardinalities, "optimize"
+        )
+        assert len(counts) == 16 * 17 // 2
+        assert plan_repr.count("Scan(") == 16
+        assert plan_repr.count("Join(") == 15
+        assert float.fromhex(cost_hex) > 0
+
+
+def _price_chain(db, query, oracle_cls, method):
+    """Oracle + exhaustive DP: every observable (counts, plan repr, cost
+    bits)."""
+    from repro.cost import SimpleCostModel
+    from repro.enumeration import DPEnumerator, QueryContext
+    from repro.physical import IndexConfig, PhysicalDesign
+
+    oracle = oracle_cls(db)
+    counts = oracle.compute_all(query, warm_unfiltered=True)
+    dp = DPEnumerator(
+        SimpleCostModel(db),
+        PhysicalDesign(db, IndexConfig.PK_FK),
+        allow_nlj=True,
+    )
+    plan, cost = getattr(dp, method)(QueryContext(query), oracle.bind(query))
+    return counts, repr(plan), cost.hex()
 
 
 # --------------------------------------------------------------------- #
@@ -252,13 +208,36 @@ class TestChainCase:
 # --------------------------------------------------------------------- #
 
 
+def _reference_sweep(spec, root, monkeypatch):
+    """``run_sweep`` on the reference path: python oracle joins and the
+    scalar DP loop for every cell."""
+    from repro.enumeration import dp as dp_module
+    from repro.pipeline import WorkloadResources, run_sweep
+    from repro.pipeline.tasks import make_database, spec_queries
+    from repro.pipeline.truthstore import TruthStore
+
+    db = make_database(spec.dataset, spec.scale, spec.seed,
+                       correlation=spec.correlation)
+    resources = WorkloadResources(
+        db=db,
+        queries=spec_queries(spec),
+        truth=ReferenceTrueCardinalities(db),
+        truth_store=TruthStore(root, spec.scale, spec.seed,
+                               correlation=spec.correlation,
+                               dataset=spec.dataset),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(dp_module, "optimize_batched", lambda *args: None)
+        return run_sweep(spec, resources=resources, result_root=root)
+
+
 class TestSweepParity:
     def test_sweep_rows_and_stores_byte_identical(
         self, tmp_path, monkeypatch
     ):
-        """A full (tiny) sweep under each backend: identical row reprs,
-        byte-identical truth-store and result-store files.  This is the
-        local twin of CI's ``kernel-parity`` job."""
+        """A full (tiny) sweep on the kernels and on the reference path:
+        identical row reprs, byte-identical truth-store and result-store
+        files."""
         from repro.pipeline import SweepSpec, run_sweep
 
         # byte-compares per-query files: JSON storage mechanics
@@ -271,24 +250,26 @@ class TestSweepParity:
             estimators=("PostgreSQL", "HyPer"),
         )
         outputs = {}
-        for backend in ("python", "numpy"):
-            root = tmp_path / backend
-            with use_backend(backend):
-                result = run_sweep(
-                    spec, truth_root=root, result_root=root
-                )
+        for path in ("kernels", "reference"):
+            root = tmp_path / path
+            if path == "kernels":
+                result = run_sweep(spec, truth_root=root, result_root=root)
+            else:
+                result = _reference_sweep(spec, root, monkeypatch)
             files = {
                 p.relative_to(root).as_posix(): p.read_bytes()
                 for p in sorted(root.rglob("*.json"))
                 if not p.name.startswith(".")
             }
             assert files, "sweep persisted nothing"
-            outputs[backend] = ([repr(r) for r in result.rows], files)
-        assert outputs["numpy"] == outputs["python"]
+            outputs[path] = ([repr(r) for r in result.rows], files)
+        assert outputs["kernels"] == outputs["reference"]
 
-    def test_python_store_replays_identically_under_numpy(self, tmp_path):
-        """Warm-replay: rows priced by the python backend must replay
-        byte-for-byte when the store is read back under numpy."""
+    def test_python_store_replays_identically_under_numpy(
+        self, tmp_path, monkeypatch
+    ):
+        """Warm-replay: rows priced on the python reference path must
+        replay byte-for-byte through the production (numpy) path."""
         from repro.pipeline import SweepSpec, run_sweep
 
         spec = SweepSpec(
@@ -296,10 +277,8 @@ class TestSweepParity:
             estimators=("PostgreSQL",),
         )
         root = tmp_path / "store"
-        with use_backend("python"):
-            cold = run_sweep(spec, truth_root=root, result_root=root)
+        cold = _reference_sweep(spec, root, monkeypatch)
         assert cold.priced_cells > 0
-        with use_backend("numpy"):
-            warm = run_sweep(spec, truth_root=root, result_root=root)
+        warm = run_sweep(spec, truth_root=root, result_root=root)
         assert warm.priced_cells == 0
         assert [repr(r) for r in warm.rows] == [repr(r) for r in cold.rows]

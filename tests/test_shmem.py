@@ -135,16 +135,6 @@ class TestLifecycle:
             assert np.array_equal(twin.values, col.values)
         published.close()  # no segment: a no-op
 
-    def test_resolve_ship_validates(self, monkeypatch):
-        assert shmem.resolve_ship("shm") == "shm"
-        assert shmem.resolve_ship("generate") == "generate"
-        with pytest.raises(ValueError, match="unknown ship mode"):
-            shmem.resolve_ship("carrier-pigeon")
-        monkeypatch.delenv(shmem.ENV_VAR, raising=False)
-        assert shmem.resolve_ship(None) == "shm"
-        monkeypatch.setenv(shmem.ENV_VAR, "generate")
-        assert shmem.resolve_ship(None) == "generate"
-
 
 @pytest.mark.skipif(sys.platform != "linux", reason="/dev/shm is Linux")
 class TestCrashSafety:
@@ -185,10 +175,8 @@ class TestCrashSafety:
 
 
 class TestPooledZeroRedundancy:
-    def _run(self, spec, ship):
-        scheduler = CellScheduler(
-            SWEEP_KIND, spec, processes=2, ship=ship
-        )
+    def _run(self, spec, processes=2):
+        scheduler = CellScheduler(SWEEP_KIND, spec, processes=processes)
         units = SWEEP_KIND.decompose(spec)
         raw = scheduler.run(units)
         return scheduler, raw
@@ -203,7 +191,7 @@ class TestPooledZeroRedundancy:
         clear_grid_caches()
         before = snapshot()
         entries = _shm_entries()
-        scheduler, raw = self._run(spec, ship="shm")
+        scheduler, raw = self._run(spec)
         after = snapshot()
         assert set(raw) == {"3a", "6a"}
         # master generated exactly once...
@@ -215,14 +203,15 @@ class TestPooledZeroRedundancy:
         # the published segment did not outlive the sweep
         assert _shm_entries() - entries == set()
 
-    def test_generate_pool_rows_match_shm_rows(self):
+    def test_pool_rows_match_sequential_rows(self):
         from repro.pipeline.driver import clear_grid_caches
 
         spec = SweepSpec(scale="tiny", seed=42, query_names=("3a", "6a"))
         clear_grid_caches()
-        shm_sched, shm_raw = self._run(spec, ship="shm")
-        gen_sched, gen_raw = self._run(spec, ship="generate")
-        # the legacy path regenerates per worker; the rows must not care
-        assert gen_sched.pool_stats.worker_db_generations >= 1
-        assert {q: rows for q, rows in shm_raw.items()} == gen_raw
+        _, pooled = self._run(spec)
+        clear_grid_caches()
+        sequential_sched, sequential = self._run(spec, processes=1)
+        sequential_sched.resources.truth.close()
+        # attached workers price exactly what a fresh build prices
+        assert pooled == sequential
         clear_grid_caches()

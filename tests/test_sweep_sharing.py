@@ -1,21 +1,18 @@
 """Differential harness for the zero-redundancy sweep machinery.
 
-Every sharing/caching layer this PR adds — shm-attached databases,
-worker-persistent workspaces, the grid-point resource cache, the
-plan-bookkeeping caches — is execution policy.  The proof obligation is
-always the same: the optimised path and the reference path must produce
+Every sharing/caching layer — shm-attached databases, worker-persistent
+workspaces, the grid-point resource cache, the plan-bookkeeping caches
+— is execution policy.  The proof obligation is always the same: the
+optimised path and a fresh-per-unit reference must produce
 repr-identical rows and identical stored payloads, under both store
-backends and both kernel backends.  ``REPRO_*`` flags keep every
-reference path live and selectable, exactly like the kernel backends.
+backends.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.pipeline.driver import clear_grid_caches, run_sweep
+from repro.pipeline.driver import build_resources, clear_grid_caches, run_sweep
 from repro.pipeline.grid import SweepSpec
 from repro.pipeline.results import ResultStore
 from repro.pipeline.truthstore import TruthStore
@@ -56,34 +53,25 @@ def _fresh_caches():
 
 class TestDifferentialStores:
     @pytest.mark.parametrize("store_backend", ["json", "sqlite"])
-    @pytest.mark.parametrize("kernels", ["python", "numpy"])
     def test_optimised_paths_match_reference_stores(
-        self, tmp_path, monkeypatch, store_backend, kernels
+        self, tmp_path, monkeypatch, store_backend
     ):
         """shm-pooled + warm caches vs fresh-per-unit: identical stores."""
-        monkeypatch.setenv("REPRO_KERNELS", kernels)
         monkeypatch.setenv("REPRO_STORE", store_backend)
         spec = _spec()
 
-        # reference: sequential, per-worker generation semantics, every
-        # cache off — the pre-PR arithmetic and lifecycle
-        monkeypatch.setenv("REPRO_SHIP", "generate")
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
-        monkeypatch.setenv("REPRO_RESOURCE_CACHE", "0")
+        # reference: sequential, one fresh resources object, cold caches
         ref_root = tmp_path / "ref"
+        resources = build_resources(spec, truth_root=ref_root / "truth")
         ref = run_sweep(
-            spec,
-            truth_root=ref_root / "truth",
-            result_root=ref_root / "results",
+            spec, resources=resources, result_root=ref_root / "results"
         )
+        resources.truth.close()
         ref_state = _stored_state(
             ref_root / "results", ref_root / "truth", spec
         )
 
         # optimised: pooled with shm shipping, all caches on
-        monkeypatch.setenv("REPRO_SHIP", "shm")
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "1")
-        monkeypatch.setenv("REPRO_RESOURCE_CACHE", "1")
         opt_root = tmp_path / "opt"
         opt = run_sweep(
             spec,
@@ -98,18 +86,38 @@ class TestDifferentialStores:
         assert _row_reprs(opt) == _row_reprs(ref)
         assert opt_state == ref_state
 
-    def test_plan_cache_flag_rows_identical(self, monkeypatch):
-        spec = _spec()
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
-        off = run_sweep(spec)
-        clear_grid_caches()
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "1")
-        on = run_sweep(spec)
-        assert _row_reprs(on) == _row_reprs(off)
+    def test_analytic_plan_cache_matches_closed_form(self, imdb_tiny):
+        """The cached analytic closed form against the uncached
+        reference, to the bit, for every connected subset (filtered and
+        unfiltered) of every analytic estimator."""
+        from repro.cardinality.analytic import AnalyticEstimator
+        from repro.pipeline.resources import standard_estimators
+        from repro.query.join_graph import JoinGraph
+        from repro.query.subgraphs import connected_subsets
+        from repro.workloads import job_query
 
-    def test_workspace_reuse_across_runs_rows_identical(self, monkeypatch):
+        from reference import analytic
+
+        estimators = [
+            est for est in standard_estimators(imdb_tiny).values()
+            if isinstance(est, AnalyticEstimator)
+        ]
+        assert estimators
+        for name in QUERIES:
+            query = job_query(name)
+            selected = list(query.selections)
+            for est in estimators:
+                for subset in connected_subsets(JoinGraph(query)):
+                    for alias in [None] + selected:
+                        if alias and not query.alias_bit(alias) & subset:
+                            continue
+                        assert est.cardinality(query, subset, alias).hex() == (
+                            analytic.cardinality(est, query, subset, alias)
+                            .hex()
+                        ), (name, est.name, subset, alias)
+
+    def test_workspace_reuse_across_runs_rows_identical(self):
         """A warm shared resources object prices exactly like a cold one."""
-        monkeypatch.setenv("REPRO_RESOURCE_CACHE", "1")
         spec = _spec()
         cold = run_sweep(spec)
         from repro.pipeline.instrument import snapshot
@@ -123,8 +131,6 @@ class TestDifferentialStores:
 class TestWorkspaceLru:
     def test_cap_bounds_live_workspaces(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKSPACE_CAP", "2")
-        from repro.pipeline.driver import build_resources
-
         spec = SweepSpec(
             scale="tiny", seed=42, query_names=("1a", "2a", "4a", "6a")
         )
@@ -148,7 +154,6 @@ class TestWorkspaceLru:
         assert _row_reprs(tight) == _row_reprs(unbounded)
 
     def test_adopt_queries_merges_by_name(self):
-        from repro.pipeline.driver import build_resources
         from repro.pipeline.tasks import spec_queries
 
         spec_a = SweepSpec(scale="tiny", seed=42, query_names=("3a",))
@@ -181,20 +186,19 @@ class TestSideCacheBound:
     ):
         """Regression: the warm pass must not outgrow the LRU cap."""
         from repro.cardinality import TrueCardinalities
-        from repro.kernels import oracle as okernel, use_backend
+        from repro.kernels import oracle as okernel
         from repro.workloads import job_query
 
         monkeypatch.setattr(okernel, "SIDE_CACHE_CAP", 8)
-        with use_backend("numpy"):
-            truth = TrueCardinalities(imdb_tiny)
-            query = job_query("6a")
-            truth.compute_all(query, warm_unfiltered=True)
-            state = truth._peek_state(query)
-            side = getattr(state, "kernel_unfiltered_side", None)
-            assert side is not None and len(side) > 0
-            assert len(side) <= 8
-            assert side.cap == 8
-            truth.close()
+        truth = TrueCardinalities(imdb_tiny)
+        query = job_query("6a")
+        truth.compute_all(query, warm_unfiltered=True)
+        state = truth._peek_state(query)
+        side = getattr(state, "kernel_unfiltered_side", None)
+        assert side is not None and len(side) > 0
+        assert len(side) <= 8
+        assert side.cap == 8
+        truth.close()
 
 
 class TestPhaseTimers:
@@ -229,11 +233,10 @@ class TestPhaseTimers:
         assert "truth=0.30s" in rendered
         assert "dp=0.20s" in rendered
 
-    def test_generate_phase_accumulates(self, monkeypatch):
+    def test_generate_phase_accumulates(self):
         from repro.pipeline.instrument import phase_snapshot, phase_delta
         from repro.pipeline.tasks import make_database
 
-        monkeypatch.setenv("REPRO_RESOURCE_CACHE", "0")
         before = phase_snapshot()
         make_database("imdb", "tiny", 42)
         delta = dict(phase_delta(before))

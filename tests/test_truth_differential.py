@@ -3,16 +3,18 @@
 Each case builds a *randomized* small database (3–6 relations, seeded) —
 random row counts, random key domains with dangling references and NULLs,
 a random spanning-tree join graph with optional extra n:m edges, random
-base selections — and counts every connected subexpression three ways:
+base selections — and counts every connected subexpression four ways:
 
-1. the production oracle's sequential ``compute_all`` (compressed
-   bottom-up materialisation over the explicit plan),
+1. the production oracle's sequential ``compute_all`` (the batched
+   kernel walk over the explicit plan),
 2. the level-parallel ``compute_all`` (subset sharding across a process
-   pool), and
-3. an independent brute force that enumerates connected subsets with its
+   pool),
+3. the python reference oracle in ``tests/reference/truth.py`` (one
+   equi-join per subset), and
+4. an independent brute force that enumerates connected subsets with its
    own adjacency walk and joins with dense numpy broadcasting.
 
-All three must agree exactly — on the *set* of connected subsets and on
+All of them must agree exactly — on the *set* of connected subsets and on
 every count.  Any divergence pins a bug in the plan construction, the
 expansion-parent machinery, key compression, NULL handling, or the
 parallel executor's merge.
@@ -29,6 +31,8 @@ from repro.catalog.schema import Database
 from repro.catalog.table import Table
 from repro.query.predicates import Comparison
 from repro.query.query import JoinEdge, Query, Relation
+
+from reference.truth import ReferenceTrueCardinalities
 
 CASE_SEEDS = list(range(10))
 
@@ -229,84 +233,94 @@ def test_level_parallel_propagates_max_rows_guard():
 
 
 class TestKernelBackendParity:
-    """The numpy oracle kernels must be bit-identical to the python path.
+    """The kernel oracle must be bit-identical to the python reference.
 
     Counts are exact integers and unfiltered counts promote through the
     same ``max_rows`` guard, so every observable — the subset set, every
     count, every unfiltered count, and the guard's error message — must
-    agree exactly across ``REPRO_KERNELS=python|numpy``.
+    agree exactly with :class:`ReferenceTrueCardinalities`.
     """
 
     @pytest.mark.parametrize("seed", CASE_SEEDS)
     def test_counts_identical(self, seed):
-        from repro.kernels import use_backend
-
         db, query = _random_case(seed, max_rel=9)  # 3–8 relations
-        with use_backend("python"):
-            reference = TrueCardinalities(db).compute_all(query)
-        with use_backend("numpy"):
-            vectorized = TrueCardinalities(db).compute_all(query)
-        assert vectorized == reference
+        reference = ReferenceTrueCardinalities(db).compute_all(query)
+        assert TrueCardinalities(db).compute_all(query) == reference
 
     @staticmethod
-    def _all_unfiltered(db, query, backend):
+    def _all_unfiltered(db, query, oracle_cls):
         """Every (subset, selected alias) unfiltered cardinality, with
         guard errors captured as comparable strings."""
         from repro.errors import EstimationError
-        from repro.kernels import use_backend
         from repro.util.bitset import popcount
 
-        with use_backend(backend):
-            oracle = TrueCardinalities(db)
-            counts = oracle.compute_all(
-                query, warm_unfiltered=(backend == "numpy")
-            )
-            out = {}
-            for subset in counts:
-                if popcount(subset) < 2:
+        oracle = oracle_cls(db)
+        counts = oracle.compute_all(query, warm_unfiltered=True)
+        out = {}
+        for subset in counts:
+            if popcount(subset) < 2:
+                continue
+            for alias in query.selections:
+                if not (query.alias_bit(alias) & subset):
                     continue
-                for alias in query.selections:
-                    if not (query.alias_bit(alias) & subset):
-                        continue
-                    try:
-                        value = oracle.cardinality(
-                            query, subset, unfiltered_alias=alias
-                        )
-                        out[(subset, alias)] = value.hex()
-                    except EstimationError as exc:
-                        out[(subset, alias)] = f"error: {exc}"
+                try:
+                    value = oracle.cardinality(
+                        query, subset, unfiltered_alias=alias
+                    )
+                    out[(subset, alias)] = value.hex()
+                except EstimationError as exc:
+                    out[(subset, alias)] = f"error: {exc}"
         return counts, out
 
     @pytest.mark.parametrize("seed", CASE_SEEDS[:6])
     def test_unfiltered_counts_identical(self, seed):
-        """The warm side cache (numpy) must promote exactly the values
-        the python path computes on demand."""
+        """The warm side cache must promote exactly the values the
+        reference computes on demand."""
         db, query = _random_case(seed, max_rel=9)
         if not query.selections:
             pytest.skip("case drew no base selections")
-        py_counts, py_unf = self._all_unfiltered(db, query, "python")
-        np_counts, np_unf = self._all_unfiltered(db, query, "numpy")
-        assert np_counts == py_counts
-        assert np_unf == py_unf
+        ref_counts, ref_unf = self._all_unfiltered(
+            db, query, ReferenceTrueCardinalities
+        )
+        counts, unf = self._all_unfiltered(db, query, TrueCardinalities)
+        assert counts == ref_counts
+        assert unf == ref_unf
+
+    @pytest.mark.parametrize("seed", CASE_SEEDS[:6])
+    @pytest.mark.parametrize(
+        "knob, value", [("_HIST_LIMIT", 0), ("_WARM_BATCH_ROWS", 1)]
+    )
+    def test_probe_paths_small_cases_skip_identical(
+        self, monkeypatch, seed, knob, value
+    ):
+        """Binary-search probes (no histogram) and one-member warm
+        batches — paths the small random cases never reach by default —
+        count exactly like the reference."""
+        from repro.kernels import oracle
+
+        db, query = _random_case(seed, max_rel=9)
+        if not query.selections:
+            pytest.skip("case drew no base selections")
+        expected = self._all_unfiltered(db, query, ReferenceTrueCardinalities)
+        monkeypatch.setattr(oracle, knob, value)
+        assert self._all_unfiltered(db, query, TrueCardinalities) == expected
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_max_rows_guard_message_identical(self, seed):
         """The first guard violation (and its message) must be the same
-        subset under both backends — level order is part of the contract."""
+        subset on both paths — level order is part of the contract."""
         from repro.errors import EstimationError
-        from repro.kernels import use_backend
         from repro.util.bitset import popcount
 
         db, query = _random_case(seed)
         full = TrueCardinalities(db).compute_all(query)
         cap = max(n for s, n in full.items() if popcount(s) > 1) - 1
         messages = {}
-        for backend in ("python", "numpy"):
-            with use_backend(backend):
-                with pytest.raises(EstimationError) as excinfo:
-                    TrueCardinalities(db, max_rows=cap).compute_all(query)
-                messages[backend] = str(excinfo.value)
-        assert messages["python"] == messages["numpy"]
+        for oracle_cls in (ReferenceTrueCardinalities, TrueCardinalities):
+            with pytest.raises(EstimationError) as excinfo:
+                oracle_cls(db, max_rows=cap).compute_all(query)
+            messages[oracle_cls] = str(excinfo.value)
+        assert len(set(messages.values())) == 1
 
 
 def test_level_parallel_capped_then_full_identical():
