@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro.cardinality.base import BoundCard
 from repro.plans.plan import JoinNode, PlanNode, ScanNode
 
@@ -29,6 +31,29 @@ class CostModel(ABC):
     def join_cost(self, node: JoinNode, card: BoundCard) -> float:
         """Cost of the join operator itself (children excluded), including
         the inner access-path cost for index-nested-loop joins."""
+
+    @abstractmethod
+    def batch_join_costs(
+        self,
+        algo: np.ndarray,
+        out_rows: np.ndarray,
+        left_rows: np.ndarray,
+        right_rows: np.ndarray,
+        fetched: np.ndarray,
+        n_edges: np.ndarray,
+    ) -> np.ndarray:
+        """Vectorized :meth:`join_cost` over candidate arrays.
+
+        The batched DP kernel (:mod:`repro.kernels.dp`) prices every
+        candidate of a union-size level in one call: ``algo`` carries
+        per-candidate ``ALGO_*`` codes of that module (hash, nlj, inlj;
+        sort-merge joins are priced by the scalar loop), the row arrays
+        are float64 cardinalities (``fetched`` is
+        :meth:`inner_join_cardinality` on inlj rows) and ``n_edges`` is
+        ``len(node.edges)``.  Each element must be the IEEE double
+        :meth:`join_cost` returns for the same candidate, so the
+        arithmetic keeps the scalar code's association.
+        """
 
     def inner_join_cardinality(self, node: JoinNode, card: BoundCard) -> float:
         """Size of ``outer ⋈ inner`` *before* the inner's selection.

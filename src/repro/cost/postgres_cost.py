@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.cardinality.base import BoundCard
 from repro.cost.base import CostModel
+from repro.kernels.dp import ALGO_HASH, ALGO_INLJ, ALGO_NLJ
 from repro.plans.plan import JoinNode, ScanNode
 
 
@@ -81,6 +84,39 @@ class PostgresCostModel(CostModel):
             )
             return lookup + fetch + out_rows * self.cpu_tuple_cost
         raise ValueError(f"unknown algorithm {node.algorithm!r}")
+
+    def batch_join_costs(
+        self,
+        algo: np.ndarray,
+        out_rows: np.ndarray,
+        left_rows: np.ndarray,
+        right_rows: np.ndarray,
+        fetched: np.ndarray,
+        n_edges: np.ndarray,
+    ) -> np.ndarray:
+        """Vectorized :meth:`join_cost`, one float64 operation per scalar
+        one in the same order: ``(build + probe) + out``, ``compare +
+        out`` and ``(lookup + fetch) + out``."""
+        cpu_op = self.cpu_operator_cost
+        op = np.empty_like(out_rows)
+        hash_ = algo == ALGO_HASH
+        if hash_.any():
+            op[hash_] = (
+                left_rows[hash_] * (cpu_op + self.cpu_tuple_cost)
+                + right_rows[hash_] * cpu_op * n_edges[hash_]
+            )
+        nlj = algo == ALGO_NLJ
+        if nlj.any():
+            op[nlj] = left_rows[nlj] * right_rows[nlj] * cpu_op
+        inlj = algo == ALGO_INLJ
+        if inlj.any():
+            op[inlj] = left_rows[inlj] * (
+                self.random_page_cost + cpu_op
+            ) + fetched[inlj] * (
+                0.25 * self.random_page_cost + self.cpu_index_tuple_cost
+            )
+        op += out_rows * self.cpu_tuple_cost
+        return op
 
 
 class TunedPostgresCostModel(PostgresCostModel):

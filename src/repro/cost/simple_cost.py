@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.cardinality.base import BoundCard
 from repro.cost.base import CostModel
+from repro.kernels.dp import ALGO_INLJ, ALGO_NLJ
 from repro.plans.plan import JoinNode, ScanNode
 
 
@@ -68,24 +69,20 @@ class SimpleCostModel(CostModel):
         left_rows: np.ndarray,
         right_rows: np.ndarray,
         fetched: np.ndarray,
-    ) -> np.ndarray | None:
-        """Vectorized :meth:`join_cost` over candidate arrays.
+        n_edges: np.ndarray,
+    ) -> np.ndarray:
+        """Vectorized :meth:`join_cost`; ``n_edges`` is unused (C_mm does
+        not price hash probes per join predicate).
 
-        This is the opt-in hook for the batched DP kernel
-        (:mod:`repro.kernels.dp`): ``algo`` carries per-candidate
-        algorithm codes (hash 0, nlj 1, inlj 2) and the cardinality
-        arrays are float64, so every arithmetic operation below is the
-        same IEEE double operation the scalar path performs.  Sort-merge
-        joins are never batched (the kernel falls back to the scalar
-        loop when they are enabled), and cardinalities are ≥ 1 by the
-        estimator contract, so ``np.maximum`` cannot diverge from
-        python's ``max`` on signed zeros.
+        Cardinalities are ≥ 1 by the estimator contract, so
+        ``np.maximum`` cannot diverge from python's ``max`` on signed
+        zeros.
         """
         op = out_rows.copy()  # hash: the operator's contribution is |T|
-        nlj = algo == 1
+        nlj = algo == ALGO_NLJ
         if nlj.any():
             op[nlj] = left_rows[nlj] * right_rows[nlj]
-        inlj = algo == 2
+        inlj = algo == ALGO_INLJ
         if inlj.any():
             op[inlj] = self.lam * np.maximum(fetched[inlj], left_rows[inlj])
         return op

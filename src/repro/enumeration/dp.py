@@ -8,11 +8,10 @@ cardinality source, which is exactly the standalone-optimizer methodology
 the paper uses for its Section 6 experiments.
 
 Pricing runs one union-size level at a time in :mod:`repro.kernels.dp`
-whenever the input allows it; the candidate-at-a-time scalar loop
-(:meth:`DPEnumerator.optimize_scalar`) prices the rest — sort-merge
-joins, cost models without ``batch_join_costs`` (the PostgreSQL
-models), and NaN cardinalities.  Both produce the identical plan and
-the IEEE-identical cost.
+for every cost model; the candidate-at-a-time scalar loop
+(:meth:`DPEnumerator.optimize_scalar`) prices only what the kernel
+declines — sort-merge joins and NaN cardinalities.  Both produce the
+identical plan and the IEEE-identical cost.
 """
 
 from __future__ import annotations
@@ -104,8 +103,9 @@ class DPEnumerator:
         Every candidate join is built as a :class:`JoinNode` and priced
         through the cost model's ``join_cost``; the first strict
         improvement per union wins.  :meth:`optimize` runs this loop
-        for the inputs the batched kernel declines; the differential
-        tests call it directly.
+        for the two inputs the batched kernel declines — sort-merge
+        joins enabled and NaN cardinalities; the differential tests call
+        it directly.
         """
         query = context.query
         best: dict[int, tuple[float, PlanNode]] = {}

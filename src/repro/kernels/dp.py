@@ -21,12 +21,12 @@ bit-identical:
   restriction admits) depends only on the catalog, physical design, and
   enumerator knobs — it is built once and cached per catalog.
 
-The kernel declines (returns ``None``, and the enumerator runs the
-scalar loop) only on inputs it cannot price: a cost model without
-``batch_join_costs`` (the PostgreSQL models), sort-merge joins enabled
-(their cost is not batched), or a NaN in any cardinality or cost array
-— NaN comparison semantics in the scalar loop are subtle enough that
-running it is safer than emulating them.
+Every cost model prices a level through its ``batch_join_costs``.  The
+kernel declines (returns ``None``, and the enumerator runs the scalar
+loop) only on sort-merge joins enabled (their cost is not batched) or a
+NaN in any cardinality or cost array — NaN comparison semantics in the
+scalar loop are subtle enough that running it is safer than emulating
+them.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from repro.kernels.subgraph import popcounts
 from repro.plans.plan import JoinNode, PlanNode
 from repro.plans.shapes import TreeShape
 
-#: algorithm codes used in the candidate tables, in the scalar loop's
-#: candidate-generation order (hash → nlj → inlj; smj is never batched)
+#: algorithm codes used in the candidate tables and by every cost model's
+#: ``batch_join_costs``, in the scalar loop's candidate-generation order
+#: (hash → nlj → inlj; smj is never batched)
 ALGO_HASH, ALGO_NLJ, ALGO_INLJ = 0, 1, 2
 _ALGO_NAMES = ("hash", "nlj", "inlj")
 
@@ -59,6 +60,7 @@ class _CandidateTables:
     algo: np.ndarray  # ALGO_* code
     rank: np.ndarray  # scalar-loop visit order (strictly increasing)
     pair: np.ndarray  # position in catalog.pair_edges (for the edge list)
+    n_edges: np.ndarray  # len() of that edge list
     level_bounds: list[tuple[int, int]]  # candidate row range per union size
     unf_rows: np.ndarray  # inlj rows whose fetched size is unfiltered
     unf_aliases: list[str]  # inner alias per such row
@@ -86,6 +88,9 @@ def _build_tables(context, design, shape, allow_nlj) -> _CandidateTables:
     i2 = np.fromiter((index[t[1]] for t in pe), dtype=np.int64, count=n_pairs)
     iu = np.fromiter(
         (index[t[0] | t[1]] for t in pe), dtype=np.int64, count=n_pairs
+    )
+    pair_n_edges = np.fromiter(
+        (len(t[2]) for t in pe), dtype=np.int64, count=n_pairs
     )
     single1 = (s1 & (s1 - 1)) == 0
     single2 = (s2 & (s2 - 1)) == 0
@@ -176,6 +181,7 @@ def _build_tables(context, design, shape, allow_nlj) -> _CandidateTables:
         algo=algo,
         rank=rank,
         pair=pair,
+        n_edges=pair_n_edges[pair],
         level_bounds=level_bounds,
         unf_rows=unf_rows,
         unf_aliases=unf_aliases,
@@ -252,8 +258,6 @@ def optimize_batched(enumerator, context, card):
     if enumerator.allow_smj:
         return None
     model = enumerator.cost_model
-    if not hasattr(model, "batch_join_costs"):
-        return None
     t = _tables_for(
         context, enumerator.design, enumerator.shape, enumerator.allow_nlj
     )
@@ -346,10 +350,9 @@ def optimize_batched(enumerator, context, card):
                 continue
         a, b, u, algo = t.a[rows], t.b[rows], t.u[rows], t.algo[rows]
         op = model.batch_join_costs(
-            algo, cards[u], cards[a], cards[b], fetched[rows]
+            algo, cards[u], cards[a], cards[b], fetched[rows],
+            t.n_edges[rows],
         )
-        if op is None:
-            return None
         total = best_cost[a] + op
         noninlj = algo != ALGO_INLJ
         total[noninlj] += best_cost[b][noninlj]

@@ -349,7 +349,7 @@ def price_deep_cells(
                 if config.max_subexpr_size > 0
                 else None
             )
-            with phase("dp"):
+            with phase("estimate"):
                 subsets = connected_subsets(ws.graph, max_size=cap)
                 for e_index in estimator_indices:
                     estimator = spec.estimators[e_index]
@@ -385,12 +385,13 @@ def price_deep_cells(
                     rehash=config.rehash, work_budget=config.work_budget
                 )
             )
-            with phase("dp"):
-                for e_index in estimator_indices:
-                    estimator = spec.estimators[e_index]
+            for e_index in estimator_indices:
+                estimator = spec.estimators[e_index]
+                with phase("dp"):
                     card = _deep_card(ws, estimator)
                     plan, est_cost = dp.optimize(ws.context, card)
                     true_cost = plan_cost(plan, cost_model, tcard)
+                with phase("execute"):
                     ctx = ExecutionContext(resources.db, design, engine_cfg)
                     try:
                         ms = execute_plan(plan, query, ctx).simulated_ms
@@ -398,18 +399,18 @@ def price_deep_cells(
                     except WorkBudgetExceeded:
                         ms = engine_cfg.work_budget / WORK_UNITS_PER_MS
                         timed_out = 1
-                    cells[deep_cell_key(config.kind, estimator, fp)] = (
-                        DeepRow(
-                            kind="runtime",
-                            query=query.name,
-                            estimator=estimator,
-                            config=config.name,
-                            plan_cost_true=true_cost,
-                            plan_cost_est=est_cost,
-                            sim_runtime_ms=ms,
-                            timed_out=timed_out,
-                        ),
-                    )
+                cells[deep_cell_key(config.kind, estimator, fp)] = (
+                    DeepRow(
+                        kind="runtime",
+                        query=query.name,
+                        estimator=estimator,
+                        config=config.name,
+                        plan_cost_true=true_cost,
+                        plan_cost_est=est_cost,
+                        sim_runtime_ms=ms,
+                        timed_out=timed_out,
+                    ),
+                )
     with phase("store"):
         ws.save_truth()
         ws.release()

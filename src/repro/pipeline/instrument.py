@@ -59,8 +59,12 @@ def snapshot() -> Counters:
 # phase timers
 # --------------------------------------------------------------------- #
 
-#: the canonical per-unit phase names, in pipeline order
-PHASE_NAMES = ("generate", "truth", "enumerate", "dp", "store")
+#: the canonical per-unit phase names, in pipeline order: ``estimate``
+#: is the deep subexpression cells' estimator loop, ``dp`` is planning
+#: plus true-cardinality recosting, ``execute`` the simulated engine
+PHASE_NAMES = (
+    "generate", "truth", "enumerate", "estimate", "dp", "execute", "store",
+)
 
 #: process-wide monotone per-phase wall seconds, accumulated at the same
 #: chokepoints the counters instrument (``make_database`` for

@@ -2,16 +2,21 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.cardinality import PostgresEstimator, TrueCardinalities
 from repro.cardinality.base import CardinalityEstimator
-from repro.cost import SimpleCostModel
-from repro.cost.base import plan_cost
+from repro.cost import (
+    PostgresCostModel,
+    SimpleCostModel,
+    TunedPostgresCostModel,
+)
+from repro.cost.base import CostModel, plan_cost
 from repro.enumeration import DPEnumerator, QueryContext
 from repro.enumeration.candidates import candidate_joins
 from repro.errors import EnumerationError
-from repro.kernels.dp import optimize_batched
+from repro.kernels.dp import ALGO_HASH, ALGO_INLJ, ALGO_NLJ, optimize_batched
 from repro.physical import IndexConfig, PhysicalDesign
 from repro.plans import JoinNode, TreeShape, classify_shape, satisfies_shape
 from repro.plans.plan import PlanNode, ScanNode, annotate_estimates
@@ -222,16 +227,25 @@ class _NanAtRoot(CardinalityEstimator):
         return self.inner.cardinality(query, subset, unfiltered_alias)
 
 
+#: every cost model the batched pricer must reproduce bit for bit
+COST_MODELS = {
+    "simple": SimpleCostModel,
+    "standard": PostgresCostModel,
+    "tuned": TunedPostgresCostModel,
+}
+
+
 class TestKernelBackendParity:
     """The batched pricer against the scalar loop, called directly: the
     chosen plan's repr and the cost float (compared via ``.hex()``) must
     agree exactly — ties included, which is what the rank-encoded winner
-    selection in :mod:`repro.kernels.dp` guarantees."""
+    selection in :mod:`repro.kernels.dp` guarantees.  Every case runs
+    under each cost model with NLJ on and off."""
 
     @staticmethod
-    def _optimize(db, query, path, *, config=IndexConfig.PK_FK,
+    def _optimize(db, query, path, *, model="simple", config=IndexConfig.PK_FK,
                   allow_nlj=True, shape=TreeShape.BUSHY, estimator=None):
-        model = SimpleCostModel(db)
+        model = COST_MODELS[model](db)
         design = PhysicalDesign(db, config)
         card = (estimator(db) if estimator is not None
                 else TrueCardinalities(db)).bind(query)
@@ -246,6 +260,14 @@ class TestKernelBackendParity:
             plan, cost = dp.optimize_scalar(context, card)
         return repr(plan), cost.hex()
 
+    def _assert_identical(self, db, query, **kwargs):
+        for model, allow_nlj in itertools.product(COST_MODELS, (False, True)):
+            options = dict(kwargs, model=model, allow_nlj=allow_nlj)
+            assert (
+                self._optimize(db, query, "numpy", **options)
+                == self._optimize(db, query, "python", **options)
+            ), (model, allow_nlj)
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize(
         "config", [IndexConfig.NONE, IndexConfig.PK_FK]
@@ -254,51 +276,101 @@ class TestKernelBackendParity:
         from test_truth_differential import _random_case
 
         db, query = _random_case(seed, max_rel=9)  # 3–8 relations
-        assert (
-            self._optimize(db, query, "numpy", config=config)
-            == self._optimize(db, query, "python", config=config)
-        )
+        self._assert_identical(db, query, config=config)
 
     @pytest.mark.parametrize("name", ["3a", "13d", "17b"])
     def test_job_queries_identical(self, imdb_tiny, name):
-        q = job_query(name)
-        assert (
-            self._optimize(imdb_tiny, q, "numpy")
-            == self._optimize(imdb_tiny, q, "python")
+        self._assert_identical(imdb_tiny, job_query(name))
+
+    def test_job_cases_price_multi_edge_pairs(self):
+        """The PostgreSQL hash probe is priced per join predicate
+        (``len(node.edges)``); the parity cases must price pairs joined
+        by more than one edge, or that term goes untested."""
+        assert any(
+            len(edges) >= 2
+            for name in ("3a", "13d", "17b")
+            for _, _, edges in QueryContext(job_query(name)).catalog.pair_edges
         )
 
     def test_estimated_cards_identical(self, imdb_tiny):
         """Parity holds for estimate-driven DP too (no truth oracle in
         the loop, so the batched unfiltered gathers hit the estimator)."""
-        q = job_query("13d")
-        assert (
-            self._optimize(imdb_tiny, q, "numpy", estimator=PostgresEstimator)
-            == self._optimize(imdb_tiny, q, "python",
-                              estimator=PostgresEstimator)
+        self._assert_identical(
+            imdb_tiny, job_query("13d"), estimator=PostgresEstimator
         )
 
     @pytest.mark.parametrize(
         "shape", [TreeShape.LEFT_DEEP, TreeShape.ZIG_ZAG]
     )
     def test_shape_restricted_identical(self, imdb_tiny, shape):
-        q = job_query("3a")
-        assert (
-            self._optimize(imdb_tiny, q, "numpy", shape=shape,
-                           allow_nlj=False)
-            == self._optimize(imdb_tiny, q, "python", shape=shape,
-                              allow_nlj=False)
-        )
+        self._assert_identical(imdb_tiny, job_query("3a"), shape=shape)
 
-    @pytest.mark.parametrize("inputs", ["smj", "postgres-cost", "nan-card"])
+    @pytest.mark.parametrize("model", list(COST_MODELS))
+    def test_batch_join_costs_match_join_cost_per_candidate(
+        self, imdb_tiny, model
+    ):
+        """Every candidate's batched cost is the double ``join_cost``
+        returns, losers included: a last-bit slip in a candidate that
+        never wins would not show in the chosen plan."""
+        q = job_query("13d")
+        cost_model = COST_MODELS[model](imdb_tiny)
+        design = PhysicalDesign(imdb_tiny, IndexConfig.PK_FK)
+        card = TrueCardinalities(imdb_tiny).bind(q)
+        context = QueryContext(q)
+        plans = {
+            scan.subset: scan
+            for scan in map(context.scan_node, range(q.n_relations))
+        }
+        nodes = []
+        for s1, s2, edges in context.catalog.pair_edges:
+            for a, b in ((s1, s2), (s2, s1)):
+                nodes.extend(candidate_joins(
+                    q, plans[a], plans[b], edges, design, allow_nlj=True
+                ))
+            plans.setdefault(s1 | s2, nodes[-1])
+        codes = {"hash": ALGO_HASH, "nlj": ALGO_NLJ, "inlj": ALGO_INLJ}
+        assert set(codes) == {node.algorithm for node in nodes}
+
+        def column(values):
+            return np.array(list(values), dtype=np.float64)
+
+        batched = cost_model.batch_join_costs(
+            np.array([codes[node.algorithm] for node in nodes]),
+            column(card(node.subset) for node in nodes),
+            column(card(node.left.subset) for node in nodes),
+            column(card(node.right.subset) for node in nodes),
+            column(
+                cost_model.inner_join_cardinality(node, card)
+                if node.algorithm == "inlj" else card(node.subset)
+                for node in nodes
+            ),
+            np.array([len(node.edges) for node in nodes]),
+        )
+        assert [cost.hex() for cost in batched.tolist()] == [
+            cost_model.join_cost(node, card).hex() for node in nodes
+        ]
+
+    def test_cost_model_without_batch_join_costs_rejected(self):
+        """No cost model can fall back to the scalar loop silently: the
+        batched hook is abstract."""
+
+        class ScalarOnly(CostModel):
+            def scan_cost(self, node, card):
+                return 0.0
+
+            def join_cost(self, node, card):
+                return 0.0
+
+        with pytest.raises(TypeError, match="batch_join_costs"):
+            ScalarOnly()
+
+    @pytest.mark.parametrize("inputs", ["smj", "nan-card"])
     def test_scalar_loop_prices_what_the_kernel_declines(
         self, imdb_tiny, inputs
     ):
         """The pricing path is chosen from observable input properties:
-        sort-merge joins, a cost model without ``batch_join_costs`` and
-        NaN cardinalities go to the scalar loop, which :meth:`optimize`
-        then returns unchanged."""
-        from repro.cost import PostgresCostModel
-
+        sort-merge joins and NaN cardinalities go to the scalar loop,
+        which :meth:`optimize` then returns unchanged."""
         q = job_query("3a")
         design = PhysicalDesign(imdb_tiny, IndexConfig.PK_FK)
         card = TrueCardinalities(imdb_tiny).bind(q)
@@ -306,8 +378,6 @@ class TestKernelBackendParity:
         allow_smj = False
         if inputs == "smj":
             allow_smj = True
-        elif inputs == "postgres-cost":
-            model = PostgresCostModel(imdb_tiny)
         else:
             card = _NanAtRoot(TrueCardinalities(imdb_tiny)).bind(q)
         dp = DPEnumerator(model, design, allow_smj=allow_smj)

@@ -220,6 +220,39 @@ class TestPhaseTimers:
         assert priced[0].setup_seconds > 0
         assert all(r.setup_seconds == 0 for r in priced[1:])
 
+    def test_deep_units_split_estimate_dp_execute(self):
+        """A deep unit charges the subexpression estimator loop, planning
+        and the simulated engine to three separate phases."""
+        from repro.physical import IndexConfig
+        from repro.pipeline.driver import run_deep_sweep
+        from repro.pipeline.grid import (
+            TRUE_SOURCE,
+            DeepConfig,
+            DeepSpec,
+            subexpr_deep_config,
+        )
+
+        spec = DeepSpec(
+            scale="tiny",
+            seed=42,
+            query_names=QUERIES,
+            estimators=("PostgreSQL", TRUE_SOURCE),
+            configs=(
+                subexpr_deep_config(4),
+                DeepConfig(name="pk", kind="runtime", indexes=IndexConfig.PK),
+            ),
+        )
+        reports = []
+        run_deep_sweep(spec, progress=reports.append)
+        priced = [r for r in reports if r.priced]
+        assert priced, "expected freshly priced units"
+        for report in priced:
+            names = {n for n, _ in report.phases}
+            assert {"estimate", "dp", "execute"} <= names
+            assert sum(s for _, s in report.phases) <= (
+                report.unit_seconds + report.setup_seconds + 0.05
+            )
+
     def test_render_includes_breakdown(self):
         from repro.pipeline.results import UnitReport
 
