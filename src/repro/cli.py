@@ -399,7 +399,6 @@ def _cmd_work_enqueue(args: argparse.Namespace) -> int:
         result_root,
         truth_root=args.truth_cache,
         resume=args.resume,
-        store_backend=args.store_backend,
     )
     print(stats.render())
     return 0
@@ -421,22 +420,6 @@ def _cmd_work_worker(args: argparse.Namespace) -> int:
         progress=progress,
     )
     print(stats.render())
-    return 0
-
-
-def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    from repro.pipeline.sqlstore import MigrationError, migrate_root
-
-    try:
-        stats = migrate_root(args.cache)
-    except (MigrationError, OSError) as exc:
-        print(f"migration failed: {exc}", file=sys.stderr)
-        return 1
-    if not stats:
-        print(f"no database directories under {args.cache}", file=sys.stderr)
-        return 0
-    for entry in stats:
-        print(entry.render())
     return 0
 
 
@@ -527,16 +510,6 @@ def _store_flags() -> argparse.ArgumentParser:
     p.add_argument(
         "--progress", action="store_true",
         help="print a progress line to stderr as each unit completes",
-    )
-    p.add_argument(
-        "--store-backend", default=None, choices=["json", "sqlite"],
-        help=(
-            "result/truth store engine (default: $REPRO_STORE, else "
-            "json).  Both store bit-identical rows — storage policy, "
-            "never part of a sweep fingerprint; json is the format of "
-            "record, sqlite serves the same content from one WAL "
-            "store.sqlite per database"
-        ),
     )
     return p
 
@@ -699,14 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", action="store_true",
         help="print a progress line to stderr as each unit completes",
     )
-    p_worker.add_argument(
-        "--store-backend", default=None, choices=["json", "sqlite"],
-        help=(
-            "store engine fallback for queues enqueued before the "
-            "backend was recorded in the spec (new queues carry the "
-            "enqueuer's choice; it always wins)"
-        ),
-    )
     p_worker.set_defaults(func=_cmd_work_worker)
 
     p_status = work_sub.add_parser(
@@ -717,34 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="the work queue directory",
     )
     p_status.set_defaults(func=_cmd_work_status)
-
-    p_store = sub.add_parser(
-        "store",
-        help="store maintenance verbs (JSON <-> SQLite backends)",
-    )
-    store_sub = p_store.add_subparsers(dest="verb", required=True)
-    p_migrate = store_sub.add_parser(
-        "migrate",
-        help=(
-            "convert a cache directory's JSON stores into per-database "
-            "store.sqlite files (idempotent; verifies content equality "
-            "and leaves the JSON files untouched)"
-        ),
-    )
-    p_migrate.add_argument(
-        "--cache", required=True, metavar="DIR",
-        help="the cache root holding <db-key>/ directories",
-    )
-    p_migrate.set_defaults(func=_cmd_store_migrate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "store_backend", None) is not None:
-        from repro.pipeline.sqlstore import set_store_backend
-
-        # exported through the environment so pool and queue workers
-        # (fork and spawn alike) inherit the choice without spec plumbing
-        set_store_backend(args.store_backend)
     return args.func(args)

@@ -53,12 +53,8 @@ Module             Provides
                    orchestration core — with :func:`run_sweep` /
                    :func:`run_deep_sweep` as thin per-kind wrappers
 ``truthstore``     :class:`TruthStore` — exact counts keyed by
-                   ``(dataset, scale, seed, correlation, query name)``
-``sqlstore``       :class:`SqlStore` — the shared SQLite+WAL storage
-                   engine behind both stores' ``backend="sqlite"``
-                   mode, plus :func:`resolve_store_backend` /
-                   :func:`set_store_backend` and the JSON→SQLite
-                   migration helpers
+                   ``(dataset, scale, seed, correlation, query name)``,
+                   one flock'd atomic-rename JSON file per query
 =================  ===================================================
 """
 
@@ -144,26 +140,8 @@ from repro.pipeline.queue import (
     run_worker,
 )
 from repro.pipeline.truthstore import TruthPayload, TruthStore
-from repro.pipeline.sqlstore import (
-    STORE_BACKENDS,
-    MigrateStats,
-    SqlStore,
-    migrate_directory,
-    migrate_root,
-    resolve_store_backend,
-    set_store_backend,
-    sqlite_path,
-)
 
 __all__ = [
-    "STORE_BACKENDS",
-    "MigrateStats",
-    "SqlStore",
-    "migrate_directory",
-    "migrate_root",
-    "resolve_store_backend",
-    "set_store_backend",
-    "sqlite_path",
     "DATASETS",
     "DEEP_KIND",
     "DEEP_KINDS",

@@ -123,15 +123,10 @@ def grid_database(spec: SweepSpec | DeepSpec):
 def build_resources(
     spec: SweepSpec | DeepSpec,
     truth_root: str | Path | None = None,
-    store_backend: str | None = None,
     db=None,
     shared: bool = False,
 ) -> WorkloadResources:
     """Deterministically build the workload a spec describes.
-
-    ``store_backend`` pins the truth store's storage engine (``None``
-    defers to ``REPRO_STORE``): storage policy, never part of a cell's
-    identity.
 
     ``db`` supplies an already-materialised database (a pool worker's
     shared-memory attach) instead of generating one.  ``shared=True``
@@ -143,11 +138,8 @@ def build_resources(
     """
     key = None
     if shared and db is None:
-        from repro.pipeline.sqlstore import resolve_store_backend
-
         key = _grid_key(spec) + (
             str(truth_root) if truth_root is not None else None,
-            resolve_store_backend(store_backend),
         )
         cached = _RESOURCES_CACHE.get(key)
         if cached is not None:
@@ -167,7 +159,6 @@ def build_resources(
             spec.seed,
             correlation=spec.correlation,
             dataset=spec.dataset,
-            backend=store_backend,
         )
     resources = WorkloadResources(db=db, queries=queries, truth_store=store)
     if key is not None:
@@ -433,7 +424,6 @@ def run_cells(
     resume: bool = True,
     progress=None,
     stream_csv: str | Path | None = None,
-    store_backend: str | None = None,
 ):
     """Run any kind's grid incrementally: the one orchestration core.
 
@@ -471,7 +461,7 @@ def run_cells(
 
     units = kind.decompose(spec)
     store = (
-        ResultStore.for_spec(result_root, spec, backend=store_backend)
+        ResultStore.for_spec(result_root, spec)
         if result_root is not None
         else None
     )
@@ -599,7 +589,6 @@ def run_cells(
             processes=processes,
             truth_root=truth_root,
             resources=resources,
-            store_backend=store_backend,
         )
         scheduler.run(pending_units, _on_complete)
 
@@ -632,7 +621,6 @@ def run_sweep(
     resume: bool = True,
     progress=None,
     stream_csv: str | Path | None = None,
-    store_backend: str | None = None,
 ) -> SweepResult:
     """Run the shallow grid: :func:`run_cells` of the sweep kind."""
     from repro.pipeline.kinds import SWEEP_KIND
@@ -647,7 +635,6 @@ def run_sweep(
         resume=resume,
         progress=progress,
         stream_csv=stream_csv,
-        store_backend=store_backend,
     )
 
 
@@ -660,7 +647,6 @@ def run_deep_sweep(
     resume: bool = True,
     progress=None,
     stream_csv: str | Path | None = None,
-    store_backend: str | None = None,
 ) -> DeepResult:
     """Run the deep measurement grid: :func:`run_cells` of the deep kind.
 
@@ -681,5 +667,4 @@ def run_deep_sweep(
         resume=resume,
         progress=progress,
         stream_csv=stream_csv,
-        store_backend=store_backend,
     )

@@ -136,14 +136,6 @@ class StoreIndex:
         them without parsing (or drop-counting malformed rows) a second
         time.
         """
-        sql = getattr(self.store, "_sql", None)
-        if sql is not None:
-            # the sqlite manifest table is updated in the same transaction
-            # as every merge — it is current by construction, no stat
-            # dance needed (and nothing is re-parsed here)
-            entries = sql.manifest()
-            self._entries = entries
-            return entries, {}
         directory = self.store.directory
         if not directory.is_dir():
             self._entries = {}

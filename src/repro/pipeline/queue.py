@@ -45,8 +45,9 @@ from repro.pipeline.results import ResultStore
 from repro.pipeline.tasks import CellUnit
 from repro.pipeline.truthstore import atomic_write_json, locked
 
-#: queue directory format version
-_QUEUE_VERSION = 1
+#: queue directory format version; version 2 spec files carry no store
+#: engine, so a version-1 queue (which may name another one) is refused
+_QUEUE_VERSION = 2
 
 #: default seconds a silent lease survives before any worker reclaims it
 DEFAULT_LEASE_TTL = 120.0
@@ -168,7 +169,6 @@ class WorkQueue:
         result_root: str | Path,
         truth_root: str | Path | None = None,
         resume: bool = True,
-        store_backend: str | None = None,
     ) -> EnqueueStats:
         """Queue a spec's still-unpriced units; idempotent per grid delta.
 
@@ -179,15 +179,7 @@ class WorkQueue:
         every cell is stored are not queued at all.  Re-enqueueing the
         same delta is a no-op: unit files are content-keyed by
         :func:`~repro.pipeline.kinds.unit_digest`.
-
-        The resolved ``store_backend`` is recorded in the spec file:
-        workers ship rows through the backend the enqueuer chose, not
-        whatever their local environment happens to say — a drain must
-        write one store, not a per-worker mix.
         """
-        from repro.pipeline.sqlstore import resolve_store_backend
-
-        backend = resolve_store_backend(store_backend)
         spec_key = spec_digest(kind, spec)
         atomic_write_json(
             self.root / "specs" / f"{spec_key}.json",
@@ -199,12 +191,11 @@ class WorkQueue:
                 "truth_root": (
                     str(truth_root) if truth_root is not None else None
                 ),
-                "store_backend": backend,
             },
         )
 
         units = kind.decompose(spec)
-        store = ResultStore.for_spec(result_root, spec, backend=backend)
+        store = ResultStore.for_spec(result_root, spec)
         stored = (
             kind.load_stored(store, [u.query for u in units])
             if resume
@@ -320,12 +311,14 @@ class WorkQueue:
         a live claim, heartbeat, or completion of the same unit.
         """
         reclaimed = 0
-        now = time.time()
         for path in sorted((self.root / "leased").glob("*.json")):
             unit_id = path.stem.rsplit("-", 1)[-1]
             with locked(self._lock(unit_id)):
                 if not path.exists():  # completed or already reclaimed
                     continue
+                # read the clock under the lock: a stamp written by a
+                # claim that held it before us is then never "ahead"
+                now = time.time()
                 if not self._lease_expired(self._lease_stamp(unit_id), now):
                     continue
                 os.replace(path, self.root / "pending" / path.name)
@@ -454,15 +447,9 @@ class _SpecContext:
         self.kind = KINDS[info["kind"]]
         self.spec = self.kind.spec_from_payload(info["spec"])
         self.units = {u.query: u for u in self.kind.decompose(self.spec)}
-        # the enqueuer's backend choice rides in the spec file (older
-        # queues predate the field and fall back to the ambient default)
-        backend = info.get("store_backend")
-        self.store = ResultStore.for_spec(
-            info["result_root"], self.spec, backend=backend
-        )
+        self.store = ResultStore.for_spec(info["result_root"], self.spec)
         self.resources = build_resources(
-            self.spec, info["truth_root"], store_backend=backend,
-            shared=True,
+            self.spec, info["truth_root"], shared=True
         )
 
     def close(self) -> None:

@@ -123,68 +123,12 @@ class StoredRows:
     )
 
 
-def parse_stored_raw(raw) -> tuple[StoredRows, int, int]:
-    """Parse one query's raw result payload into typed rows.
-
-    Shared by every storage backend — the SQLite backend stores the same
-    JSON payload objects per key, so a row written through one backend
-    and read through the other parses to a bit-identical ``SweepRow`` /
-    ``DeepRow`` (float ``repr`` round trip included).  Returns the parsed
-    content plus the counts of malformed sweep rows and invalidated deep
-    cells that were skipped.
-    """
-    if not isinstance(raw, dict) or raw.get("version") not in _READABLE_VERSIONS:
-        return StoredRows(), 0, 0
-    rows: dict[tuple[str, str], SweepRow] = {}
-    dropped = 0
-    raw_rows = raw.get("rows", {})
-    if not isinstance(raw_rows, dict):
-        raw_rows = {}
-    for key, payload in raw_rows.items():
-        estimator, _, fingerprint = key.partition("|")
-        try:
-            row = SweepRow(**{
-                name: (
-                    float(payload[name]) if name in _FLOAT_FIELDS
-                    else str(payload[name])
-                )
-                for name in ROW_FIELDS
-            })
-        except (KeyError, TypeError, ValueError):
-            dropped += 1
-            continue
-        rows[(estimator, fingerprint)] = row
-    deep: dict[str, tuple[DeepRow, ...]] = {}
-    dropped_cells = 0
-    raw_deep = raw.get("deep", {})
-    if not isinstance(raw_deep, dict):
-        raw_deep = {}
-    for cell_key, payloads in raw_deep.items():
-        try:
-            if not isinstance(payloads, list):
-                raise TypeError("deep cell payload is not a list")
-            deep[str(cell_key)] = tuple(
-                _parse_deep_row(p) for p in payloads
-            )
-        except (KeyError, TypeError, ValueError):
-            dropped_cells += 1
-            continue
-    return StoredRows(rows=rows, deep=deep), dropped, dropped_cells
-
-
 class ResultStore:
     """One directory of per-query priced-row files for one database.
 
     The directory key matches the :class:`TruthStore`'s — generator and
     workload versions included — because a row is only replayable against
     the exact data and query shapes it was priced for.
-
-    ``backend`` selects the storage engine — ``"json"`` (default, the
-    format of record: one atomic-rename file per query, flock'd merges)
-    or ``"sqlite"`` (the db-key directory's shared WAL ``store.sqlite``,
-    transactional merges, indexed manifest); ``None`` defers to the
-    ``REPRO_STORE`` environment variable.  Both backends store and serve
-    bit-identical rows.
     """
 
     def __init__(
@@ -194,27 +138,12 @@ class ResultStore:
         seed: int,
         correlation: float = 0.8,
         dataset: str = "imdb",
-        backend: str | None = None,
     ) -> None:
-        from repro.pipeline.sqlstore import (
-            SqlStore,
-            resolve_store_backend,
-            sqlite_path,
-        )
-
         self.root = Path(root)
         self.directory = (
             self.root
             / db_key(scale, seed, correlation=correlation, dataset=dataset)
             / "results"
-        )
-        self.backend = resolve_store_backend(backend)
-        # the sqlite file is shared with the truth store and lives in the
-        # db-key directory itself, one level above results/
-        self._sql = (
-            SqlStore(sqlite_path(self.directory.parent))
-            if self.backend == "sqlite"
-            else None
         )
         self._index: StoreIndex | None = None
         #: malformed sweep rows skipped by :meth:`load` over this
@@ -237,7 +166,6 @@ class ResultStore:
         cls,
         root: str | Path,
         spec: SweepSpec | DeepSpec,
-        backend: str | None = None,
     ) -> "ResultStore":
         return cls(
             root,
@@ -245,27 +173,12 @@ class ResultStore:
             spec.seed,
             correlation=spec.correlation,
             dataset=spec.dataset,
-            backend=backend,
         )
 
     def path(self, query_name: str) -> Path:
         return self.directory / f"{query_name}.json"
 
     # ------------------------------------------------------------------ #
-
-    def _read_raw(self, query_name: str) -> dict | None:
-        """One query's raw payload from the active backend, or ``None``.
-
-        Both backends produce the same shape (``{"version": ...,
-        "rows": {...}, "deep": {...}}``), so everything above this seam
-        is backend-agnostic.
-        """
-        if self._sql is not None:
-            return self._sql.load_query_raw(query_name)
-        try:
-            return json.loads(self.path(query_name).read_text())
-        except (OSError, ValueError):
-            return None
 
     def load_all(self, query_name: str) -> StoredRows:
         """Everything stored for one query — both row kinds, parsed once.
@@ -279,9 +192,50 @@ class ResultStore:
         Version-1 files (sweep rows only) stay readable and simply hold
         no deep cells.
         """
-        stored, dropped, dropped_cells = parse_stored_raw(
-            self._read_raw(query_name)
-        )
+        try:
+            raw = json.loads(self.path(query_name).read_text())
+        except (OSError, ValueError):
+            return StoredRows()
+        if (
+            not isinstance(raw, dict)
+            or raw.get("version") not in _READABLE_VERSIONS
+        ):
+            return StoredRows()
+        rows: dict[tuple[str, str], SweepRow] = {}
+        dropped = 0
+        raw_rows = raw.get("rows", {})
+        if not isinstance(raw_rows, dict):
+            raw_rows = {}
+        for key, payload in raw_rows.items():
+            estimator, _, fingerprint = key.partition("|")
+            try:
+                row = SweepRow(**{
+                    name: (
+                        float(payload[name]) if name in _FLOAT_FIELDS
+                        else str(payload[name])
+                    )
+                    for name in ROW_FIELDS
+                })
+            except (KeyError, TypeError, ValueError):
+                dropped += 1
+                continue
+            rows[(estimator, fingerprint)] = row
+        deep: dict[str, tuple[DeepRow, ...]] = {}
+        dropped_cells = 0
+        raw_deep = raw.get("deep", {})
+        if not isinstance(raw_deep, dict):
+            raw_deep = {}
+        for cell_key, payloads in raw_deep.items():
+            try:
+                if not isinstance(payloads, list):
+                    raise TypeError("deep cell payload is not a list")
+                deep[str(cell_key)] = tuple(
+                    _parse_deep_row(p) for p in payloads
+                )
+            except (KeyError, TypeError, ValueError):
+                dropped_cells += 1
+                continue
+        stored = StoredRows(rows=rows, deep=deep)
         if dropped:
             self.dropped_rows += dropped
             log.warning(
@@ -427,15 +381,6 @@ class ResultStore:
         """
         if not rows:
             return None
-        if self._sql is not None:
-            self._sql.merge_rows(
-                query_name,
-                {
-                    _row_key(estimator, fingerprint): asdict(row)
-                    for (estimator, fingerprint), row in sorted(rows.items())
-                },
-            )
-            return self._sql.path
         path = self.path(query_name)
         path.parent.mkdir(parents=True, exist_ok=True)
         with locked(path.parent / f".{query_name}.lock"):
@@ -456,15 +401,6 @@ class ResultStore:
         """
         if not cells:
             return None
-        if self._sql is not None:
-            self._sql.merge_deep(
-                query_name,
-                {
-                    cell_key: [asdict(row) for row in cells[cell_key]]
-                    for cell_key in sorted(cells)
-                },
-            )
-            return self._sql.path
         path = self.path(query_name)
         path.parent.mkdir(parents=True, exist_ok=True)
         with locked(path.parent / f".{query_name}.lock"):
@@ -476,8 +412,6 @@ class ResultStore:
 
     def known_queries(self) -> list[str]:
         """Names of queries with stored rows, sorted."""
-        if self._sql is not None:
-            return self._sql.result_queries()
         if not self.directory.is_dir():
             return []
         return sorted(

@@ -117,7 +117,6 @@ def _init_worker(
     kind_name: str,
     spec,
     truth_root: str | None,
-    store_backend: str | None,
     manifest,
 ) -> None:
     from repro.pipeline import shmem
@@ -139,8 +138,7 @@ def _init_worker(
     _WORKER["kind"] = KINDS[kind_name]
     _WORKER["spec"] = spec
     _WORKER["resources"] = build_resources(
-        spec, truth_root, store_backend=store_backend,
-        db=shmem.attach_database(manifest),
+        spec, truth_root, db=shmem.attach_database(manifest)
     )
     _WORKER["init_seconds"] = time.perf_counter() - started
     # fork-started workers inherit the master's counters; everything the
@@ -211,14 +209,12 @@ class CellScheduler:
         processes: int = 1,
         truth_root: str | Path | None = None,
         resources=None,
-        store_backend: str | None = None,
     ) -> None:
         self.kind = kind
         self.spec = spec
         self.processes = processes
         self.truth_root = truth_root
         self.resources = resources
-        self.store_backend = store_backend
         self.pool_stats: PoolStats | None = None
 
     def run(
@@ -258,9 +254,7 @@ class CellScheduler:
         if resources is None:
             setup_started = time.perf_counter()
             resources = driver.build_resources(
-                self.spec, self.truth_root,
-                store_backend=self.store_backend,
-                shared=True,
+                self.spec, self.truth_root, shared=True
             )
             setup_seconds = time.perf_counter() - setup_started
             self.resources = resources
@@ -324,8 +318,7 @@ class CellScheduler:
                 processes=min(self.processes, max(len(payloads), 1)),
                 initializer=_init_worker,
                 initargs=(
-                    self.kind.name, self.spec, truth_arg,
-                    self.store_backend, published.manifest,
+                    self.kind.name, self.spec, truth_arg, published.manifest,
                 ),
             ) as pool:
                 for query_name, raw, timing, stats in pool.imap_unordered(

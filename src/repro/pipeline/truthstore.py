@@ -133,8 +133,6 @@ def db_key(
     )
 
 
-
-
 @dataclass
 class TruthPayload:
     """Exact counts previously computed for one query.
@@ -151,76 +149,11 @@ class TruthPayload:
         return covers(self.max_size, max_size, full)
 
 
-def parse_truth_raw(raw) -> TruthPayload | None:
-    """Parse one query's raw truth payload; ``None`` when unreadable.
-
-    Shared by every storage backend, so a payload written through one
-    backend and read through another parses to identical values.
-    """
-    if not isinstance(raw, dict) or raw.get("version") != _FORMAT_VERSION:
-        return None
-    try:
-        counts = {int(k): int(v) for k, v in raw["counts"].items()}
-        unfiltered = {}
-        for key, value in raw.get("unfiltered", {}).items():
-            subset, _, alias = key.partition(":")
-            unfiltered[(int(subset), alias)] = int(value)
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return None
-    return TruthPayload(
-        counts=counts, unfiltered=unfiltered, max_size=raw.get("max_size")
-    )
-
-
-def merged_truth(
-    existing: TruthPayload | None,
-    counts: dict[int, int],
-    unfiltered: dict[tuple[int, str], int] | None,
-    max_size: int | None,
-) -> tuple[dict[int, int], dict[tuple[int, str], int], int | None]:
-    """Union new counts into what a store already holds.
-
-    New values win on key conflicts (they are recomputations of the same
-    exact quantity) and the wider coverage claim is kept — the merge rule
-    both backends must agree on so that a size-capped run and a full
-    enumeration accumulate identically everywhere.
-    """
-    merged_counts = dict(counts)
-    merged_unfiltered = dict(unfiltered or {})
-    if existing is not None:
-        merged_counts = {**existing.counts, **merged_counts}
-        merged_unfiltered = {**existing.unfiltered, **merged_unfiltered}
-        if existing.covers(max_size):
-            max_size = existing.max_size
-    return merged_counts, merged_unfiltered, max_size
-
-
-def truth_payload_dict(
-    counts: dict[int, int],
-    unfiltered: dict[tuple[int, str], int],
-    max_size: int | None,
-) -> dict:
-    """The canonical serialised form of one query's truth payload."""
-    return {
-        "version": _FORMAT_VERSION,
-        "max_size": max_size,
-        "counts": {str(k): v for k, v in sorted(counts.items())},
-        "unfiltered": {
-            f"{subset}:{alias}": v
-            for (subset, alias), v in sorted(unfiltered.items())
-        },
-    }
-
-
 class TruthStore:
     """One directory of per-query truth files for one generated database.
 
-    ``backend`` selects the storage engine: ``"json"`` (the default, and
-    the format of record) keeps one atomic-rename JSON file per query;
-    ``"sqlite"`` keeps every query's counts in the directory's shared
-    ``store.sqlite`` (WAL journal, merge = one transaction).  ``None``
-    defers to the ``REPRO_STORE`` environment variable.  Both backends
-    store and serve identical values.
+    Each query's counts live in one atomic-rename JSON file; merges are
+    serialised by a per-query ``flock``.
     """
 
     def __init__(
@@ -230,30 +163,13 @@ class TruthStore:
         seed: int,
         correlation: float = 0.8,
         dataset: str = "imdb",
-        backend: str | None = None,
     ) -> None:
-        from repro.pipeline.sqlstore import (
-            SqlStore,
-            resolve_store_backend,
-            sqlite_path,
-        )
-
         self.root = Path(root)
         self.directory = self.root / db_key(
             scale, seed, correlation=correlation, dataset=dataset
         )
-        self.backend = resolve_store_backend(backend)
-        self._sql = (
-            SqlStore(sqlite_path(self.directory))
-            if self.backend == "sqlite"
-            else None
-        )
 
     def path(self, query_name: str) -> Path:
-        """Where this query's payload lives (the shared database file
-        for the sqlite backend)."""
-        if self._sql is not None:
-            return self._sql.path
         return self.directory / f"{query_name}.json"
 
     # ------------------------------------------------------------------ #
@@ -264,13 +180,23 @@ class TruthStore:
         Corrupt or incompatible files are treated as absent — the sweep
         recomputes and overwrites them.
         """
-        if self._sql is not None:
-            return self._sql.load_truth(query_name)
         try:
             raw = json.loads(self.path(query_name).read_text())
         except (OSError, ValueError):
             return None
-        return parse_truth_raw(raw)
+        if not isinstance(raw, dict) or raw.get("version") != _FORMAT_VERSION:
+            return None
+        try:
+            counts = {int(k): int(v) for k, v in raw["counts"].items()}
+            unfiltered = {}
+            for key, value in raw.get("unfiltered", {}).items():
+                subset, _, alias = key.partition(":")
+                unfiltered[(int(subset), alias)] = int(value)
+        except (KeyError, TypeError, ValueError, AttributeError):
+            return None
+        return TruthPayload(
+            counts=counts, unfiltered=unfiltered, max_size=raw.get("max_size")
+        )
 
     def save(
         self,
@@ -281,30 +207,35 @@ class TruthStore:
     ) -> Path:
         """Merge-and-write the counts for ``query_name``, atomically and
         under a per-query exclusive lock (two workers saving the same
-        query cannot drop each other's counts).  The sqlite backend gets
-        the same guarantee from a single immediate transaction."""
-        if self._sql is not None:
-            self._sql.merge_truth(
-                query_name, counts, unfiltered or {}, max_size
-            )
-            return self._sql.path
+        query cannot drop each other's counts).
+
+        New values win on key conflicts (they are recomputations of the
+        same exact quantity) and the wider coverage claim is kept, so a
+        size-capped run and a full enumeration accumulate into one file.
+        """
         path = self.path(query_name)
         path.parent.mkdir(parents=True, exist_ok=True)
         with locked(path.parent / f".{query_name}.lock"):
             existing = self.load(query_name)
-            merged_counts, merged_unfiltered, max_size = merged_truth(
-                existing, counts, unfiltered, max_size
-            )
-            atomic_write_json(
-                path,
-                truth_payload_dict(merged_counts, merged_unfiltered, max_size),
-            )
+            unfiltered = unfiltered or {}
+            if existing is not None:
+                counts = {**existing.counts, **counts}
+                unfiltered = {**existing.unfiltered, **unfiltered}
+                if existing.covers(max_size):
+                    max_size = existing.max_size
+            atomic_write_json(path, {
+                "version": _FORMAT_VERSION,
+                "max_size": max_size,
+                "counts": {str(k): v for k, v in sorted(counts.items())},
+                "unfiltered": {
+                    f"{subset}:{alias}": v
+                    for (subset, alias), v in sorted(unfiltered.items())
+                },
+            })
         return path
 
     def known_queries(self) -> list[str]:
         """Names of queries with stored truth, sorted."""
-        if self._sql is not None:
-            return self._sql.truth_queries()
         if not self.directory.is_dir():
             return []
         return sorted(p.stem for p in self.directory.glob("*.json"))

@@ -45,15 +45,8 @@ SPEC = SweepSpec(
 
 
 @pytest.fixture()
-def warm_store(tmp_path, monkeypatch):
-    """A store fully covering SPEC, plus its directory root.
-
-    Pinned to the JSON backend whatever ``REPRO_STORE`` says: the
-    corruption/manifest tests below tamper with the per-query JSON files
-    directly, which is exactly the mechanics the JSON backend owns (the
-    SQLite backend's parity has its own differential suite).
-    """
-    monkeypatch.setenv("REPRO_STORE", "json")
+def warm_store(tmp_path):
+    """A store fully covering SPEC, plus its directory root."""
     run_sweep(SPEC, truth_root=tmp_path, result_root=tmp_path)
     return ResultStore.for_spec(tmp_path, SPEC), tmp_path
 
@@ -374,6 +367,33 @@ class TestReportParity:
         )
         assert recompute.replayed_cells == 0
         assert recompute.text == warm.text
+
+
+def test_all_sixteen_artifacts_replay_from_one_store(tmp_path):
+    """Sweep and deep artifacts share one store's per-query files: after
+    one cold pass over the registry, a warm pass replays every artifact
+    byte-identically with no pricing of either kind and no database
+    generation."""
+    names = frame_mod.available_reports()
+    assert len(names) == 16
+    spec = SweepSpec(scale="tiny", seed=42, query_names=("1a", "4a"))
+    cold = {
+        name: frame_mod.run_report(
+            name, spec, result_root=tmp_path, truth_root=tmp_path
+        ).text
+        for name in names
+    }
+    for name in names:
+        before = instrument.snapshot()
+        warm = frame_mod.run_report(
+            name, spec, result_root=tmp_path, truth_root=tmp_path
+        )
+        delta = instrument.snapshot() - before
+        assert warm.text == cold[name]
+        assert warm.priced_cells == 0
+        assert delta.cells_priced == 0
+        assert delta.deep_cells_priced == 0
+        assert delta.db_generations == 0
 
 
 class TestReportRegistry:

@@ -315,13 +315,6 @@ def _downgrade_to_v1(store: ResultStore, query: str) -> None:
 
 
 class TestStoreVersionMigration:
-    @pytest.fixture(autouse=True)
-    def _json_backend(self, monkeypatch):
-        """These tests rewrite per-query *files* into historical shapes
-        — JSON storage mechanics; sqlite parity has its own suite in
-        test_sqlstore.py."""
-        monkeypatch.setenv("REPRO_STORE", "json")
-
     @pytest.fixture()
     def v1_root(self, tmp_path):
         """A store holding only version-1 files (no deep rows)."""

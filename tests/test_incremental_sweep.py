@@ -180,8 +180,7 @@ class TestResultStoreReplay:
         assert pooled.priced_cells == 8 and pooled.cached_cells == 4
         assert pooled.rows == run_sweep(SPEC).rows
 
-    def test_corrupt_result_file_reprices(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "json")  # tampers with the file
+    def test_corrupt_result_file_reprices(self, tmp_path):
         run_sweep(SPEC, truth_root=tmp_path, result_root=tmp_path)
         store = ResultStore.for_spec(tmp_path, SPEC)
         store.path("4a").write_text("not json{")
@@ -317,7 +316,7 @@ class TestSatelliteFixes:
                 time.sleep(0.05)  # widen the race window
                 return payload
 
-        store = SlowLoadStore(tmp_path, "tiny", 42, backend="json")
+        store = SlowLoadStore(tmp_path, "tiny", 42)
         errors = []
 
         def save(offset):
@@ -395,9 +394,9 @@ def _torture_writer(args):
     saves to the same query (module-level so the pool can pickle it)."""
     from repro.pipeline.grid import DeepRow, SweepRow
 
-    root, backend, worker_index, per_worker = args
-    store = ResultStore(root, "tiny", 42, backend=backend)
-    truth = TruthStore(root, "tiny", 42, backend=backend)
+    root, worker_index, per_worker = args
+    store = ResultStore(root, "tiny", 42)
+    truth = TruthStore(root, "tiny", 42)
     for i in range(per_worker):
         n = worker_index * per_worker + i
         store.save(
@@ -420,55 +419,47 @@ def _torture_writer(args):
 
 
 class TestConcurrentWriterTorture:
-    """N processes hammering one query through either backend must union
-    losslessly — JSON via the per-query flock, SQLite via immediate
-    transactions."""
+    """N processes hammering one query must union losslessly through the
+    per-query flock."""
 
     WORKERS = 4
     PER_WORKER = 6
 
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
-    def test_interleaved_process_saves_union_losslessly(
-        self, tmp_path, backend
-    ):
+    def test_interleaved_process_saves_union_losslessly(self, tmp_path):
         total = self.WORKERS * self.PER_WORKER
         jobs = [
-            (str(tmp_path), backend, w, self.PER_WORKER)
+            (str(tmp_path), w, self.PER_WORKER)
             for w in range(self.WORKERS)
         ]
         with multiprocessing.get_context().Pool(self.WORKERS) as pool:
             done = pool.map(_torture_writer, jobs)
         assert sorted(done) == list(range(self.WORKERS))
 
-        store = ResultStore(tmp_path, "tiny", 42, backend=backend)
+        store = ResultStore(tmp_path, "tiny", 42)
         stored = store.load_all("1a")
         assert len(stored.rows) == total
         assert {e for (e, _) in stored.rows} == {
             f"est{n:03d}" for n in range(total)
         }
         assert len(stored.deep) == total
-        truth = TruthStore(tmp_path, "tiny", 42, backend=backend)
+        truth = TruthStore(tmp_path, "tiny", 42)
         payload = truth.load("1a")
         assert payload.counts == {n: n + 1 for n in range(total)}
         # the manifest agrees with the union (indexed queries, both kinds)
         assert store.index.total_rows() == total
         assert store.index.total_deep_rows() == total
 
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
-    def test_interleaved_thread_saves_union_losslessly(
-        self, tmp_path, backend
-    ):
+    def test_interleaved_thread_saves_union_losslessly(self, tmp_path):
         """Same torture with threads in one process: concurrent writers
-        to the same files/database must union (sqlite connections are
-        per-thread under the hood)."""
-        store = ResultStore(tmp_path, "tiny", 42, backend=backend)
-        truth = TruthStore(tmp_path, "tiny", 42, backend=backend)
+        to the same files must union."""
+        store = ResultStore(tmp_path, "tiny", 42)
+        truth = TruthStore(tmp_path, "tiny", 42)
         errors = []
 
         def writer(worker_index):
             try:
                 _torture_writer(
-                    (str(tmp_path), backend, worker_index, self.PER_WORKER)
+                    (str(tmp_path), worker_index, self.PER_WORKER)
                 )
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
@@ -500,12 +491,6 @@ class TestParallelOracleRoundTrip:
         estimators=("PostgreSQL", "HyPer"),
         oracle_processes=2,
     )
-
-    @pytest.fixture(autouse=True)
-    def _json_backend(self, monkeypatch):
-        """Byte-compares per-query truth *files* — JSON storage
-        mechanics; sqlite-backend parity lives in test_sqlstore.py."""
-        monkeypatch.setenv("REPRO_STORE", "json")
 
     @staticmethod
     def _truth_bytes(root):

@@ -240,9 +240,6 @@ class TestSweepParity:
         files."""
         from repro.pipeline import SweepSpec, run_sweep
 
-        # byte-compares per-query files: JSON storage mechanics
-        monkeypatch.setenv("REPRO_STORE", "json")
-
         spec = SweepSpec(
             scale="tiny",
             seed=42,

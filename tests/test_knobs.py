@@ -1,9 +1,10 @@
 """The environment knobs ``src/`` reads, and the retired backend switch.
 
-Pricing has one path (the numpy kernels), pooled sweeps one way to ship
-a database, and the grid-point and plan caches are always on — so the
-only ``REPRO_*`` variables left are the store engine and the workspace
-LRU cap.  A new knob has to be added here on purpose.
+Pricing has one path (the numpy kernels), results and truth one store
+(per-query JSON), pooled sweeps one way to ship a database, and the
+grid-point and plan caches are always on — so the only ``REPRO_*``
+variable left is the workspace LRU cap.  A new knob has to be added
+here on purpose.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from repro.physical import IndexConfig, PhysicalDesign
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_src_reads_exactly_two_knobs():
+def test_src_reads_exactly_one_knob():
     names = set()
     for path in SRC.rglob("*.py"):
         names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
-    assert names == {"REPRO_STORE", "REPRO_WORKSPACE_CAP"}
+    assert names == {"REPRO_WORKSPACE_CAP"}
 
 
 def test_enumerator_rejects_a_kernel_backend(toy_db):

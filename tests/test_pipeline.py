@@ -180,17 +180,40 @@ class TestTruthStore:
 
     def test_merge_widens_coverage(self, tmp_path):
         store = TruthStore(tmp_path, "tiny", 42)
-        store.save("1a", {1: 10}, max_size=2)
-        store.save("1a", {3: 4}, max_size=None)
+        store.save("1a", {1: 10, 2: 20}, {(1, "t"): 1}, max_size=2)
+        # overlapping key: the recomputation (new value) wins
+        store.save("1a", {2: 25, 3: 4}, {(3, "mc"): 9}, max_size=None)
         payload = store.load("1a")
-        assert payload.counts == {1: 10, 3: 4}
+        assert payload.counts == {1: 10, 2: 25, 3: 4}
+        assert payload.unfiltered == {(1, "t"): 1, (3, "mc"): 9}
         assert payload.max_size is None
         # narrower save later must not shrink coverage
         store.save("1a", {7: 2}, max_size=3)
-        assert store.load("1a").max_size is None
+        payload = store.load("1a")
+        assert payload.counts == {1: 10, 2: 25, 3: 4, 7: 2}
+        assert payload.max_size is None
 
-    def test_corrupt_file_treated_as_absent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "json")  # tampers with the file
+    def test_roundtrip_beyond_64_bits(self, tmp_path):
+        """A subset bitset past bit 63 and an exact count no 64-bit
+        integer holds both round-trip as python ints."""
+        big_subset, big_count = 2**63 + 11, 10**30 + 7
+        counts = {1: 7, 3: 0, big_subset: big_count}
+        unfiltered = {(3, "t"): 5, (big_subset, "mc"): 12}
+        store = TruthStore(tmp_path, "tiny", 42)
+        store.save("1a", counts, unfiltered, max_size=4)
+        payload = store.load("1a")
+        assert payload.counts == counts
+        assert payload.unfiltered == unfiltered
+        assert payload.max_size == 4
+        assert type(payload.counts[big_subset]) is int
+
+    def test_known_queries_sorted(self, tmp_path):
+        store = TruthStore(tmp_path, "tiny", 42)
+        store.save("4a", {1: 1})
+        store.save("1a", {1: 1})
+        assert store.known_queries() == ["1a", "4a"]
+
+    def test_corrupt_file_treated_as_absent(self, tmp_path):
         store = TruthStore(tmp_path, "tiny", 42)
         store.save("1a", {1: 10})
         store.path("1a").write_text("not json{")
@@ -228,11 +251,8 @@ class TestTruthStore:
         )
         assert rows == [r for r in first.rows if r.query == "1a"]
 
-    def test_warm_run_does_not_rewrite_store(self, tmp_path, monkeypatch):
+    def test_warm_run_does_not_rewrite_store(self, tmp_path):
         """A sweep that only consumed disk counts must not rewrite them."""
-        # stats the per-query file's mtime: JSON storage mechanics (a
-        # sqlite connection touches the shared file even when reading)
-        monkeypatch.setenv("REPRO_STORE", "json")
         spec = SweepSpec(
             scale="tiny", seed=42, query_names=("1a",),
             estimators=("PostgreSQL",),
@@ -277,8 +297,7 @@ class TestTruthStore:
         for subset, count in payload.counts.items():
             assert tcard(subset) == float(count)
 
-    def test_payload_json_is_stable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "json")  # reads the raw file
+    def test_payload_json_is_stable(self, tmp_path):
         store = TruthStore(tmp_path, "tiny", 42)
         store.save("1a", {3: 4, 1: 10})
         raw = json.loads(store.path("1a").read_text())

@@ -4,8 +4,7 @@ Every sharing/caching layer — shm-attached databases, worker-persistent
 workspaces, the grid-point resource cache, the plan-bookkeeping caches
 — is execution policy.  The proof obligation is always the same: the
 optimised path and a fresh-per-unit reference must produce
-repr-identical rows and identical stored payloads, under both store
-backends.
+repr-identical rows and identical stored payloads.
 """
 
 from __future__ import annotations
@@ -52,12 +51,8 @@ def _fresh_caches():
 
 
 class TestDifferentialStores:
-    @pytest.mark.parametrize("store_backend", ["json", "sqlite"])
-    def test_optimised_paths_match_reference_stores(
-        self, tmp_path, monkeypatch, store_backend
-    ):
+    def test_optimised_paths_match_reference_stores(self, tmp_path):
         """shm-pooled + warm caches vs fresh-per-unit: identical stores."""
-        monkeypatch.setenv("REPRO_STORE", store_backend)
         spec = _spec()
 
         # reference: sequential, one fresh resources object, cold caches

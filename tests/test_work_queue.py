@@ -88,10 +88,12 @@ class TestEnqueue:
         order = [queue.claim("w").payload["query"] for _ in range(3)]
         assert order == ["13a", "1a", "6a"]
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    # 1: queues enqueued before spec files stopped naming a store engine
+    @pytest.mark.parametrize("version", [99, 1])
+    def test_version_mismatch_rejected(self, tmp_path, version):
         WorkQueue(tmp_path / "q")
         config = tmp_path / "q" / "queue.json"
-        config.write_text(json.dumps({"version": 99, "lease_ttl": 1.0}))
+        config.write_text(json.dumps({"version": version, "lease_ttl": 1.0}))
         with pytest.raises(ValueError, match="format version"):
             WorkQueue(tmp_path / "q")
 
@@ -226,12 +228,6 @@ class TestLeaseProtocol:
 
 
 class TestDrainParity:
-    @pytest.fixture(autouse=True)
-    def _json_backend(self, monkeypatch):
-        """Byte-compares per-query store *files* — JSON storage
-        mechanics; the sqlite drain is covered by test_sqlstore.py."""
-        monkeypatch.setenv("REPRO_STORE", "json")
-
     def test_two_workers_drain_bit_identically_to_sequential(self, tmp_path):
         sequential = run_sweep(
             SPEC, truth_root=tmp_path, result_root=tmp_path / "seq"
