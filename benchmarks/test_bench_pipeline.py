@@ -46,7 +46,7 @@ def dp_setup():
 
 
 def _optimize_seed_style(dp: DPEnumerator, context, card):
-    """The seed's DP loop: ``edges_between`` re-derived for every pair."""
+    """The seed's DP loop, bushy: ``edges_between`` re-derived per pair."""
     query = context.query
     best = {}
     for i in range(query.n_relations):
@@ -65,11 +65,9 @@ def _optimize_seed_style(dp: DPEnumerator, context, card):
                 continue
             cost_a, plan_a = entry_a
             cost_b, plan_b = entry_b
-            if not dp._shape_admits(plan_a, plan_b):
-                continue
             for node in candidate_joins(
                 query, plan_a, plan_b, edges, dp.design,
-                allow_nlj=dp.allow_nlj, allow_smj=dp.allow_smj,
+                allow_nlj=dp.allow_nlj,
             ):
                 op_cost = dp.cost_model.join_cost(node, card)
                 total = cost_a + op_cost

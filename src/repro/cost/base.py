@@ -46,9 +46,8 @@ class CostModel(ABC):
 
         The batched DP kernel (:mod:`repro.kernels.dp`) prices every
         candidate of a union-size level in one call: ``algo`` carries
-        per-candidate ``ALGO_*`` codes of that module (hash, nlj, inlj;
-        sort-merge joins are priced by the scalar loop), the row arrays
-        are float64 cardinalities (``fetched`` is
+        per-candidate ``ALGO_*`` codes of that module (hash, nlj, inlj),
+        the row arrays are float64 cardinalities (``fetched`` is
         :meth:`inner_join_cardinality` on inlj rows) and ``n_edges`` is
         ``len(node.edges)``.  Each element must be the IEEE double
         :meth:`join_cost` returns for the same candidate, so the

@@ -11,8 +11,6 @@ and reading a page (Section 5.3).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.cardinality.base import BoundCard
@@ -66,13 +64,6 @@ class PostgresCostModel(CostModel):
             right_rows = card(node.right.subset)
             compare = left_rows * right_rows * self.cpu_operator_cost
             return compare + out_rows * self.cpu_tuple_cost
-        if node.algorithm == "smj":
-            right_rows = card(node.right.subset)
-            sort = self.cpu_operator_cost * (
-                _nlogn(left_rows) + _nlogn(right_rows)
-            )
-            merge = (left_rows + right_rows) * self.cpu_operator_cost
-            return sort + merge + out_rows * self.cpu_tuple_cost
         if node.algorithm == "inlj":
             fetched = self.inner_join_cardinality(node, card)
             # each outer tuple descends the index (random page), each
@@ -125,7 +116,3 @@ class TunedPostgresCostModel(PostgresCostModel):
     def __init__(self, db, cpu_multiplier: float = 50.0) -> None:
         super().__init__(db, cpu_multiplier=cpu_multiplier)
         self.name = "postgres-tuned"
-
-
-def _nlogn(n: float) -> float:
-    return n * math.log2(max(n, 2.0))

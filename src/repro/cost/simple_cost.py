@@ -14,8 +14,6 @@ right — the paper's headline cost-model result.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.cardinality.base import BoundCard
@@ -53,13 +51,6 @@ class SimpleCostModel(CostModel):
             # not part of the paper's formula (it disables non-index NLJ);
             # priced quadratically so it is available when enabled
             return left_rows * card(node.right.subset)
-        if node.algorithm == "smj":
-            right_rows = card(node.right.subset)
-            return (
-                left_rows * math.log2(max(left_rows, 2.0))
-                + right_rows * math.log2(max(right_rows, 2.0))
-                + out_rows
-            )
         raise ValueError(f"unknown algorithm {node.algorithm!r}")
 
     def batch_join_costs(

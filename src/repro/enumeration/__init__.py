@@ -12,12 +12,10 @@ from repro.enumeration.context import QueryContext
 from repro.enumeration.dp import DPEnumerator
 from repro.enumeration.goo import goo
 from repro.enumeration.quickpick import quickpick, random_plan
-from repro.enumeration.topdown import TopDownEnumerator
 
 __all__ = [
     "QueryContext",
     "DPEnumerator",
-    "TopDownEnumerator",
     "quickpick",
     "random_plan",
     "goo",

@@ -9,9 +9,7 @@ engine configuration:
   index on one of the connecting edge columns,
 * non-index nested-loop join only when explicitly allowed (the paper
   disables it in Section 4.1 because its tiny best-case payoff never
-  justifies its quadratic worst case),
-* sort-merge join only when explicitly allowed (the paper's configuration
-  makes hash joins dominate via a large ``work_mem``).
+  justifies its quadratic worst case).
 """
 
 from __future__ import annotations
@@ -30,14 +28,11 @@ def candidate_joins(
     edges: list[JoinEdge],
     design: PhysicalDesign,
     allow_nlj: bool = False,
-    allow_smj: bool = False,
 ) -> Iterator[JoinNode]:
     """All physical join nodes combining ``left`` and ``right``."""
     yield JoinNode(left, right, "hash", edges)
     if allow_nlj:
         yield JoinNode(left, right, "nlj", edges)
-    if allow_smj:
-        yield JoinNode(left, right, "smj", edges)
     if isinstance(right, ScanNode):
         index_edge = design.usable_index_edge(query, edges, right.alias)
         if index_edge is not None:

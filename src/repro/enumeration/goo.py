@@ -27,7 +27,6 @@ def goo(
     cost_model: CostModel,
     design: PhysicalDesign,
     allow_nlj: bool = False,
-    allow_smj: bool = False,
 ) -> tuple[PlanNode, float]:
     """Greedy Operator Ordering: returns ``(plan, estimated_cost)``."""
     query = context.query
@@ -63,8 +62,7 @@ def goo(
             (cost_b, plan_b, cost_a, plan_a),
         ):
             for node in candidate_joins(
-                query, pa, pb, edges, design,
-                allow_nlj=allow_nlj, allow_smj=allow_smj,
+                query, pa, pb, edges, design, allow_nlj=allow_nlj
             ):
                 total = ca + cost_model.join_cost(node, card)
                 if node.algorithm != "inlj":

@@ -27,7 +27,6 @@ def random_plan(
     design: PhysicalDesign,
     rng: np.random.Generator,
     allow_nlj: bool = False,
-    allow_smj: bool = False,
 ) -> tuple[PlanNode, float]:
     """One Quickpick run: random edge order, greedy local operator choice.
 
@@ -63,8 +62,7 @@ def random_plan(
             (cost_j, plan_j, cost_i, plan_i),
         ):
             for node in candidate_joins(
-                query, a_plan, b_plan, edges, design,
-                allow_nlj=allow_nlj, allow_smj=allow_smj,
+                query, a_plan, b_plan, edges, design, allow_nlj=allow_nlj
             ):
                 total = a_cost + cost_model.join_cost(node, card)
                 if node.algorithm != "inlj":
@@ -98,7 +96,6 @@ def quickpick(
     n_plans: int = 1000,
     seed: int = 0,
     allow_nlj: bool = False,
-    allow_smj: bool = False,
     collect_all: bool = False,
 ) -> tuple[PlanNode, float, list[PlanNode]]:
     """Best of ``n_plans`` random plans (by the given estimates).
@@ -115,8 +112,7 @@ def quickpick(
     all_plans: list[PlanNode] = []
     for _ in range(n_plans):
         plan, cost = random_plan(
-            context, card, cost_model, design, rng,
-            allow_nlj=allow_nlj, allow_smj=allow_smj,
+            context, card, cost_model, design, rng, allow_nlj=allow_nlj
         )
         if collect_all:
             all_plans.append(plan)

@@ -42,8 +42,6 @@ class EngineConfig:
     nlj_pair: float = 0.25
     index_lookup: float = 12.0
     index_fetch: float = 1.5
-    sort_tuple: float = 2.0
-    merge_tuple: float = 1.0
 
     #: minimum number of hash buckets regardless of the estimate
     min_buckets: int = 1024

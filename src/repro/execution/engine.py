@@ -60,8 +60,6 @@ def _execute(node: PlanNode, query: Query, ctx: ExecutionContext) -> ResultSet:
             return _execute_nested_loop(node, query, ctx)
         if node.algorithm == "inlj":
             return _execute_index_nested_loop(node, query, ctx)
-        if node.algorithm == "smj":
-            return _execute_sort_merge(node, query, ctx)
     raise PlanError(f"cannot execute node {node!r}")
 
 
@@ -268,23 +266,3 @@ def _execute_index_nested_loop(
     row_ids[inner_alias] = inner_ids
     return ResultSet(node.subset, row_ids)
 
-
-def _execute_sort_merge(
-    node: JoinNode, query: Query, ctx: ExecutionContext
-) -> ResultSet:
-    left = _execute(node.left, query, ctx)
-    right = _execute(node.right, query, ctx)
-    cfg = ctx.config
-    nl, nr = left.n_rows, right.n_rows
-    sort_work = cfg.sort_tuple * (
-        nl * np.log2(max(nl, 2)) + nr * np.log2(max(nr, 2))
-    )
-    lidx, ridx = _join_indices(node, query, ctx, left, right)
-    work = sort_work + (nl + nr) * cfg.merge_tuple + len(lidx) * cfg.output_tuple
-    ctx.charge(work)
-    ctx.record(
-        OperatorStats(
-            label="smj", in_left=nl, in_right=nr, out_rows=len(lidx), work=work
-        )
-    )
-    return _merge_results(node, left, right, lidx, ridx)

@@ -1,19 +1,19 @@
 """Batched DP pricing: one union-size level of csg–cmp pairs per call.
 
-The scalar loop (:meth:`~repro.enumeration.dp.DPEnumerator.
-optimize_scalar`) walks ``catalog.pair_edges`` one pair at a time,
-builds a :class:`JoinNode` per candidate, prices it, and keeps the
-first strict improvement.  This kernel prices *every* candidate of a
-union-size level in a handful of array operations and only constructs
-the plan nodes that actually win — the winning plans and costs are
-bit-identical:
+The textbook DP loop walks ``catalog.pair_edges`` one pair at a time,
+builds a :class:`JoinNode` per candidate, prices it with the cost
+model's ``join_cost``, and keeps the first strict improvement.  This
+kernel prices *every* candidate of a union-size level in a handful of
+array operations and only constructs the plan nodes that actually win —
+the winning plans and costs are bit-identical to that loop's, which
+the differential tests keep as the reference:
 
-* the candidate *visit order* of the scalar loop (pair position →
+* the candidate *visit order* of that loop (pair position →
   orientation → algorithm) is encoded as an integer ``rank``; a winner
   per union is the candidate with minimal ``(cost, rank)``, which is
   exactly "first candidate achieving the global minimum under strict
   ``<``";
-* cost arithmetic preserves the scalar loop's float association
+* cost arithmetic preserves that loop's float association
   (``(cost_a + op_cost) + cost_b``) elementwise in float64, so every
   total is the identical IEEE double;
 * candidate structure (which pairs admit an index-nested-loop join,
@@ -21,12 +21,11 @@ bit-identical:
   restriction admits) depends only on the catalog, physical design, and
   enumerator knobs — it is built once and cached per catalog.
 
-Every cost model prices a level through its ``batch_join_costs``.  The
-kernel declines (returns ``None``, and the enumerator runs the scalar
-loop) only on sort-merge joins enabled (their cost is not batched) or a
-NaN in any cardinality or cost array — NaN comparison semantics in the
-scalar loop are subtle enough that running it is safer than emulating
-them.
+Every cost model prices a level through its ``batch_join_costs``.  A
+NaN in any cardinality or cost array raises
+:class:`~repro.errors.EstimationError`: estimators promise finite
+cardinalities ≥ 1, and a NaN would make the winner depend on comparison
+order rather than on cost.
 """
 
 from __future__ import annotations
@@ -36,14 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import EnumerationError
+from repro.errors import EnumerationError, EstimationError
 from repro.kernels.subgraph import popcounts
 from repro.plans.plan import JoinNode, PlanNode
 from repro.plans.shapes import TreeShape
 
 #: algorithm codes used in the candidate tables and by every cost model's
-#: ``batch_join_costs``, in the scalar loop's candidate-generation order
-#: (hash → nlj → inlj; smj is never batched)
+#: ``batch_join_costs``, in ``candidate_joins``' generation order
+#: (hash → nlj → inlj)
 ALGO_HASH, ALGO_NLJ, ALGO_INLJ = 0, 1, 2
 _ALGO_NAMES = ("hash", "nlj", "inlj")
 
@@ -58,7 +57,7 @@ class _CandidateTables:
     b: np.ndarray  # csg position of the right input
     u: np.ndarray  # csg position of the union
     algo: np.ndarray  # ALGO_* code
-    rank: np.ndarray  # scalar-loop visit order (strictly increasing)
+    rank: np.ndarray  # candidate-at-a-time visit order (increasing)
     pair: np.ndarray  # position in catalog.pair_edges (for the edge list)
     n_edges: np.ndarray  # len() of that edge list
     level_bounds: list[tuple[int, int]]  # candidate row range per union size
@@ -68,10 +67,10 @@ class _CandidateTables:
 
 
 def _build_tables(context, design, shape, allow_nlj) -> _CandidateTables:
-    # Shape admission mirrors ``DPEnumerator._shape_admits`` statically:
-    # singletons are always priced as ScanNode leaves and composites as
-    # JoinNodes, so the scalar loop's isinstance test reduces to a
-    # popcount test on the subset — catalog-static, cacheable.
+    # Shape admission is static: singletons are always priced as
+    # ScanNode leaves and composites as JoinNodes, so "is this input a
+    # base relation" reduces to a popcount test on the subset —
+    # catalog-static, cacheable.
     catalog = context.catalog
     query = context.query
     csgs = catalog.csgs
@@ -246,17 +245,23 @@ def _tables_for(context, design, shape, allow_nlj) -> _CandidateTables:
     return tables
 
 
+def _raise_nan(query, card, what: str):
+    raise EstimationError(
+        f"NaN {what} for query {query.name!r} under estimator "
+        f"{card.name!r}"
+    )
+
+
 def optimize_batched(enumerator, context, card):
-    """Level-batched equivalent of ``DPEnumerator.optimize``.
+    """Level-batched ``DPEnumerator.optimize``.
 
     Returns ``(plan, cost)`` — the identical plan tree and IEEE-identical
-    cost the scalar loop would produce (``est_rows`` not yet annotated) —
-    or ``None`` when the input needs the scalar loop (see module docs).
+    cost the candidate-at-a-time loop would produce (``est_rows`` not yet
+    annotated).  Raises :class:`~repro.errors.EstimationError` on a NaN
+    cardinality or cost.
     """
     query = context.query
     n = query.n_relations
-    if enumerator.allow_smj:
-        return None
     model = enumerator.cost_model
     t = _tables_for(
         context, enumerator.design, enumerator.shape, enumerator.allow_nlj
@@ -296,7 +301,7 @@ def optimize_batched(enumerator, context, card):
             c = counts.get(subset) if counts is not None else None
             cards[i] = card(subset) if c is None else float(c)
         if np.isnan(cards).any():
-            return None
+            _raise_nan(query, card, "cardinality")
         cards.flags.writeable = False
         if vec is not None:
             vec.cards = cards
@@ -332,7 +337,7 @@ def optimize_batched(enumerator, context, card):
                     card.unfiltered(union, alias) if c is None else float(c)
                 )
             if np.isnan(unf).any():
-                return None
+                _raise_nan(query, card, "unfiltered cardinality")
             unf.flags.writeable = False
             if vec is not None:
                 vec.unf = unf
@@ -357,9 +362,9 @@ def optimize_batched(enumerator, context, card):
         noninlj = algo != ALGO_INLJ
         total[noninlj] += best_cost[b][noninlj]
         if np.isnan(total).any():
-            return None
+            _raise_nan(query, card, "plan cost")
         # winner per union: minimal cost, earliest visit rank on ties —
-        # exactly the scalar loop's strict-< improvement rule
+        # exactly the candidate-at-a-time loop's strict-< improvement rule
         order = np.lexsort((t.rank[rows], total, u))
         u_sorted = u[order]
         firsts = np.ones(len(order), dtype=bool)

@@ -16,24 +16,14 @@ ratios.  This module folds those summaries incrementally from
 Determinism contract
 --------------------
 
-In the default **exact** mode the aggregator retains one small scalar
-record per distinct cell, keyed by ``(query, estimator, config)``, and
+The aggregator retains one small scalar record per distinct cell,
+keyed by ``(query, estimator, config)``, and
 :meth:`StreamingAggregator.summary` folds those records in sorted key
 order.  Arrival order therefore cannot matter: sequential, pooled, and
 resumed sweeps — and any shuffling of a batch fold — produce
 **bit-identical** summaries.  Memory is O(cells), a few dozen bytes per
 cell (the 113-query × 5-estimator × 2-config paper grid retains ~1130
 records).
-
-With ``exact=False`` the aggregator keeps O(1) state per metric:
-quantiles come from P² sketches (Jain & Chlamtac 1985), counts and
-bucket tallies stay exact, and geometric means use running compensated
-(Kahan) log-sums.  The documented error bounds: a P² estimate always
-lies within the observed ``[min, max]``; it is order-dependent and
-approximate (typically within a few percent of the exact quantile for
-smooth distributions, and the equivalence test pins it within 50%
-relative error on the smoke grids); bucket fractions and counts are
-exact; compensated geo-means match the exact fold to ~1 ulp.
 """
 
 from __future__ import annotations
@@ -47,113 +37,6 @@ from repro.pipeline.results import ResultStore, UnitReport
 from repro.util.stats import SLOWDOWN_BUCKETS
 
 _BUCKET_LABELS = tuple(label for _, _, label in SLOWDOWN_BUCKETS)
-
-#: the quantiles the summary reports for q-error and slowdown
-SUMMARY_QUANTILES = (0.5, 0.95)
-
-
-class P2Quantile:
-    """Single-quantile P² estimator (Jain & Chlamtac, CACM 1985).
-
-    Five markers track the running min, max, target quantile and its two
-    flanking quantiles; marker heights move by a piecewise-parabolic
-    rule.  O(1) memory, O(1) update.  The estimate is exact until five
-    observations have arrived, always lies within the observed range,
-    and is order-dependent (see the module determinism contract).
-    """
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {p}")
-        self.p = p
-        self._initial: list[float] = []
-        self._q: list[float] = []  # marker heights
-        self._n: list[int] = []  # marker positions (1-based)
-        self._np: list[float] = []  # desired positions
-        self._dn = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
-
-    def add(self, x: float) -> None:
-        if len(self._initial) < 5:
-            self._initial.append(x)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                self._q = list(self._initial)
-                self._n = [1, 2, 3, 4, 5]
-                self._np = [
-                    1.0,
-                    1.0 + 2.0 * self.p,
-                    1.0 + 4.0 * self.p,
-                    3.0 + 2.0 * self.p,
-                    5.0,
-                ]
-            return
-        q, n = self._q, self._n
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = next(i for i in range(4) if q[i] <= x < q[i + 1])
-        for i in range(k + 1, 5):
-            n[i] += 1
-        for i in range(5):
-            self._np[i] += self._dn[i]
-        for i in (1, 2, 3):
-            d = self._np[i] - n[i]
-            if (d >= 1 and n[i + 1] - n[i] > 1) or (
-                d <= -1 and n[i - 1] - n[i] < -1
-            ):
-                step = 1 if d >= 1 else -1
-                candidate = self._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:  # parabolic would cross a neighbour: linear fallback
-                    q[i] = q[i] + step * (q[i + step] - q[i]) / (
-                        n[i + step] - n[i]
-                    )
-                n[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        q, n = self._q, self._n
-        return q[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step)
-            * (q[i + 1] - q[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step)
-            * (q[i] - q[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def value(self) -> float:
-        """The current quantile estimate (NaN before any observation)."""
-        if self._q:
-            return self._q[2]
-        if not self._initial:
-            return float("nan")
-        ordered = sorted(self._initial)
-        # exact linear-interpolated quantile while n < 5
-        rank = self.p * (len(ordered) - 1)
-        lo = int(math.floor(rank))
-        hi = min(lo + 1, len(ordered) - 1)
-        return ordered[lo] + (rank - lo) * (ordered[hi] - ordered[lo])
-
-
-class _KahanSum:
-    """Compensated running sum (order effects bounded to ~1 ulp)."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
 
 
 def _exact_quantile(ordered: list[float], p: float) -> float:
@@ -216,7 +99,6 @@ class AggregateSummary:
     priced_seconds: float = 0.0
     priced_cells: int = 0
     replayed_cells: int = 0
-    exact: bool = True
 
     @property
     def cells_per_second(self) -> float:
@@ -227,7 +109,6 @@ class AggregateSummary:
     def render(self) -> str:
         from repro.experiments.report import format_table
 
-        mode = "exact" if self.exact else "P2-sketch"
         est_rows = [
             [
                 s.estimator,
@@ -247,7 +128,7 @@ class AggregateSummary:
              "slow med", "slow p95", ">=2x", ">=10x"],
             est_rows,
             title=(
-                f"Sweep aggregate ({mode}): {self.n_rows} rows over "
+                f"Sweep aggregate (exact): {self.n_rows} rows over "
                 f"{self.n_queries} queries"
             ),
         )
@@ -317,32 +198,18 @@ class StreamingAggregator(_StreamingFold):
     aggregator itself as ``run_sweep(progress=...)`` (it consumes each
     :class:`UnitReport`'s rows and wall time), or batch-fold a store with
     :func:`aggregate_store`.  See the module docstring for the
-    exact-vs-sketch determinism contract.
+    determinism contract.
 
     Re-adding a cell (same ``(query, estimator, config)``) overwrites its
-    record in exact mode — folds are idempotent per cell — but is double
-    counted by the sketch mode's O(1) state.
+    record — folds are idempotent per cell.
     """
 
-    def __init__(self, exact: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.exact = exact
-        if exact:
-            # (query, estimator, config) -> (q_error, slowdown, cost ratio)
-            self._cells: dict[
-                tuple[str, str, str], tuple[float, float, float]
-            ] = {}
-        else:
-            self._est_n: dict[str, int] = {}
-            self._est_q_sketch: dict[str, dict[float, P2Quantile]] = {}
-            self._est_s_sketch: dict[str, dict[float, P2Quantile]] = {}
-            self._est_q_logsum: dict[str, _KahanSum] = {}
-            self._est_slow2: dict[str, int] = {}
-            self._est_slow10: dict[str, int] = {}
-            self._cfg_n: dict[str, int] = {}
-            self._cfg_buckets: dict[str, dict[str, int]] = {}
-            self._cfg_s_logsum: dict[str, _KahanSum] = {}
-            self._cfg_ratio_logsum: dict[str, _KahanSum] = {}
+        # (query, estimator, config) -> (q_error, slowdown, cost ratio)
+        self._cells: dict[
+            tuple[str, str, str], tuple[float, float, float]
+        ] = {}
 
     # ------------------------------------------------------------------ #
     # folding
@@ -352,42 +219,8 @@ class StreamingAggregator(_StreamingFold):
         self.n_rows += 1
         self._queries.add(row.query)
         ratio = row.true_cost / max(row.optimal_cost, 1e-9)
-        if self.exact:
-            self._cells[(row.query, row.estimator, row.config)] = (
-                row.q_error, row.slowdown, ratio
-            )
-            return
-        est, cfg = row.estimator, row.config
-        self._est_n[est] = self._est_n.get(est, 0) + 1
-        for p in SUMMARY_QUANTILES:
-            self._est_q_sketch.setdefault(est, {}).setdefault(
-                p, P2Quantile(p)
-            ).add(row.q_error)
-            self._est_s_sketch.setdefault(est, {}).setdefault(
-                p, P2Quantile(p)
-            ).add(row.slowdown)
-        self._est_q_logsum.setdefault(est, _KahanSum()).add(
-            math.log(max(row.q_error, 1e-300))
-        )
-        self._est_slow2[est] = self._est_slow2.get(est, 0) + (
-            row.slowdown >= 2.0
-        )
-        self._est_slow10[est] = self._est_slow10.get(est, 0) + (
-            row.slowdown >= 10.0
-        )
-        self._cfg_n[cfg] = self._cfg_n.get(cfg, 0) + 1
-        buckets = self._cfg_buckets.setdefault(
-            cfg, {label: 0 for label in _BUCKET_LABELS}
-        )
-        for lo, hi, label in SLOWDOWN_BUCKETS:
-            if lo <= row.slowdown < hi:
-                buckets[label] += 1
-                break
-        self._cfg_s_logsum.setdefault(cfg, _KahanSum()).add(
-            math.log(max(row.slowdown, 1e-300))
-        )
-        self._cfg_ratio_logsum.setdefault(cfg, _KahanSum()).add(
-            math.log(max(ratio, 1e-300))
+        self._cells[(row.query, row.estimator, row.config)] = (
+            row.q_error, row.slowdown, ratio
         )
 
     # ------------------------------------------------------------------ #
@@ -395,10 +228,7 @@ class StreamingAggregator(_StreamingFold):
     # ------------------------------------------------------------------ #
 
     def summary(self) -> AggregateSummary:
-        if self.exact:
-            by_estimator, by_config = self._summarise_exact()
-        else:
-            by_estimator, by_config = self._summarise_sketch()
+        by_estimator, by_config = self._summarise()
         return AggregateSummary(
             n_rows=self.n_rows,
             n_queries=len(self._queries),
@@ -407,10 +237,9 @@ class StreamingAggregator(_StreamingFold):
             priced_seconds=self.priced_seconds,
             priced_cells=self.priced_cells,
             replayed_cells=self.replayed_cells,
-            exact=self.exact,
         )
 
-    def _summarise_exact(self):
+    def _summarise(self):
         # fold retained records in sorted key order: the arrival order —
         # pooled, resumed, shuffled — cannot leak into the summary
         by_est: dict[str, list[tuple[float, float, float]]] = {}
@@ -465,42 +294,6 @@ class StreamingAggregator(_StreamingFold):
                     ),
                 )
             )
-        return estimators, configs
-
-    def _summarise_sketch(self):
-        estimators = [
-            EstimatorStats(
-                estimator=est,
-                n=self._est_n[est],
-                q_error_median=self._est_q_sketch[est][0.5].value(),
-                q_error_p95=self._est_q_sketch[est][0.95].value(),
-                q_error_geo_mean=math.exp(
-                    self._est_q_logsum[est].total / self._est_n[est]
-                ),
-                slowdown_median=self._est_s_sketch[est][0.5].value(),
-                slowdown_p95=self._est_s_sketch[est][0.95].value(),
-                frac_slow_2x=self._est_slow2[est] / self._est_n[est],
-                frac_slow_10x=self._est_slow10[est] / self._est_n[est],
-            )
-            for est in sorted(self._est_n)
-        ]
-        configs = [
-            ConfigStats(
-                config=cfg,
-                n=self._cfg_n[cfg],
-                slowdown_buckets={
-                    label: count / self._cfg_n[cfg]
-                    for label, count in self._cfg_buckets[cfg].items()
-                },
-                slowdown_geo_mean=math.exp(
-                    self._cfg_s_logsum[cfg].total / self._cfg_n[cfg]
-                ),
-                plan_cost_ratio_geo_mean=math.exp(
-                    self._cfg_ratio_logsum[cfg].total / self._cfg_n[cfg]
-                ),
-            )
-            for cfg in sorted(self._cfg_n)
-        ]
         return estimators, configs
 
 
@@ -609,9 +402,9 @@ class DeepAggregateSummary:
 class DeepStreamingAggregator(_StreamingFold):
     """Fold deep rows into workload-level summaries, incrementally.
 
-    The deep twin of :class:`StreamingAggregator`, exact mode only: one
-    scalar record is retained per row, keyed by the row's full identity,
-    and :meth:`summary` folds the records in sorted key order — so the
+    The deep twin of :class:`StreamingAggregator`: one scalar record is
+    retained per row, keyed by the row's full identity, and
+    :meth:`summary` folds the records in sorted key order — so the
     arrival order (pooled, resumed, shuffled) cannot leak into the
     summary, which is bit-identical to a batch fold of the same rows.
     Usable directly as a ``run_deep_sweep(progress=...)`` callback.
@@ -747,9 +540,8 @@ def aggregate_deep_store(
 def aggregate_store(
     store: ResultStore,
     predicate: Callable[[SweepRow], bool] | None = None,
-    exact: bool = True,
 ) -> AggregateSummary:
     """Batch-fold every stored sweep row: :func:`aggregate_cells` of sweep."""
     from repro.pipeline.kinds import SWEEP_KIND
 
-    return aggregate_cells(store, SWEEP_KIND, predicate, exact=exact)
+    return aggregate_cells(store, SWEEP_KIND, predicate)

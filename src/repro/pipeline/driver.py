@@ -219,7 +219,6 @@ def price_cells(
                 cost_model,
                 design,
                 allow_nlj=config.allow_nlj,
-                allow_smj=config.allow_smj,
                 shape=config.shape,
             )
             _, optimal_cost = dp.optimize(ws.context, tcard)

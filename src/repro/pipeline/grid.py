@@ -42,7 +42,13 @@ def make_cost_model(name: str, db: Database) -> CostModel:
 
 @dataclass(frozen=True)
 class EnumeratorConfig:
-    """One enumerator/engine configuration of the sweep grid."""
+    """One enumerator/engine configuration of the sweep grid.
+
+    ``allow_smj`` is always False: sort-merge joins are not supported,
+    but the field stays because :func:`~repro.pipeline.tasks.
+    config_fingerprint` hashes every field, so dropping it would change
+    every stored cell key.
+    """
 
     name: str
     indexes: IndexConfig = IndexConfig.PK_FK
@@ -50,6 +56,14 @@ class EnumeratorConfig:
     allow_nlj: bool = False
     allow_smj: bool = False
     cost_model: str = "simple"
+
+    def __post_init__(self) -> None:
+        # queue spec files are outside input and may carry any value
+        if self.allow_smj is not False:
+            raise ValueError(
+                f"config {self.name!r}: allow_smj={self.allow_smj!r}; "
+                "sort-merge joins are not supported"
+            )
 
 
 #: the default grid: the paper's two main physical designs (§4.2–4.3, §6)

@@ -236,7 +236,13 @@ class SweepKind(CellKind):
     def aggregator(self, exact: bool = True):
         from repro.pipeline.aggregate import StreamingAggregator
 
-        return StreamingAggregator(exact=exact)
+        # ``exact`` survives only for benchmarks/e2e/stepwise.py
+        if exact is not True:
+            raise ValueError(
+                f"exact={exact!r}: the exact fold is the only aggregation "
+                "mode; pass True"
+            )
+        return StreamingAggregator()
 
     def cell_identity(self, row):
         return (row.query, row.estimator, row.config)

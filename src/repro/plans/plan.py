@@ -20,8 +20,6 @@ Join algorithms:
     an index on its join column.  The scan's selection (if any) is applied
     *after* the index lookup, which is why costing needs the unfiltered
     intermediate size (Section 2.4).
-``smj``
-    Sort-merge join.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from collections.abc import Iterator
 from repro.errors import PlanError
 from repro.query.query import JoinEdge, Query
 
-JOIN_ALGORITHMS = ("hash", "nlj", "inlj", "smj")
+JOIN_ALGORITHMS = ("hash", "nlj", "inlj")
 
 
 class PlanNode:

@@ -10,7 +10,13 @@ kernel must compute:
   expansion parent;
 * :mod:`reference.truth` — the per-subset oracle join over
   :func:`~repro.util.joinkeys.equi_join_indices`;
-* :mod:`reference.analytic` — the uncached analytic closed form.
+* :mod:`reference.analytic` — the uncached analytic closed form;
+* :mod:`reference.dp` — the candidate-at-a-time DP loop
+  (``optimize_scalar``) the batched pricer must match bit for bit;
+* :mod:`reference.topdown` — memoised top-down partitioning
+  (``TopDownEnumerator``), the same plan space searched in another
+  order.
 
-Nothing under ``src/`` imports this package.
+Nothing under ``src/`` imports this package
+(``tests/test_knobs.py`` enforces it).
 """

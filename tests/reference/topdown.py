@@ -1,17 +1,17 @@
-"""Top-down join enumeration with memoization (Section 6's alternative).
+"""Reference top-down join enumeration with memoization.
 
 The paper's Section 6 cites both bottom-up DP (Moerkotte & Neumann [29])
 and generic *top-down* enumeration (Fender & Moerkotte [12,13]) as
 exhaustive algorithms that find the optimal bushy plan quickly.  This
-module implements the top-down counterpart to
+module is the top-down counterpart to
 :class:`~repro.enumeration.dp.DPEnumerator`: recursively partition a
 connected relation set into two connected, edge-adjacent halves, memoise
 optimal sub-plans, and optionally prune partitions with an accumulated-
 cost bound (branch and bound).
 
-Both enumerators explore exactly the same plan space, so their optimal
-costs must agree — the test suite asserts this on every workload query it
-touches, which doubles as a strong correctness check for each.
+Both enumerators explore exactly the same plan space by a different
+search order, so their optimal costs must agree — an independent check
+of the production DP on every query the tests touch.
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ class TopDownEnumerator:
         cost_model: CostModel,
         design: PhysicalDesign,
         allow_nlj: bool = False,
-        allow_smj: bool = False,
         prune: bool = True,
     ) -> None:
         self.cost_model = cost_model
         self.design = design
         self.allow_nlj = allow_nlj
-        self.allow_smj = allow_smj
         self.prune = prune
 
     def optimize(
@@ -100,7 +98,7 @@ class TopDownEnumerator:
                 ):
                     for node in candidate_joins(
                         query, a_plan, b_plan, edges, self.design,
-                        allow_nlj=self.allow_nlj, allow_smj=self.allow_smj,
+                        allow_nlj=self.allow_nlj,
                     ):
                         total = a_cost + self.cost_model.join_cost(node, card)
                         if node.algorithm != "inlj":

@@ -9,9 +9,8 @@ The acceptance bar of the replay layer:
 * the store's manifest index never serves stale lookups — externally
   appended rows invalidate and rebuild the affected entry;
 * a :class:`StreamingAggregator` fed rows in any completion order
-  produces the same summary as a batch fold in canonical order
-  (bit-identical in exact mode, within documented bounds for the P²
-  sketch mode);
+  produces the bit-identical summary of a batch fold in canonical
+  order;
 * a malformed row in a per-query file drops only itself.
 """
 
@@ -32,7 +31,6 @@ from repro.pipeline import (
     run_sweep,
 )
 from repro.pipeline import instrument
-from repro.pipeline.aggregate import P2Quantile, _exact_quantile
 from repro.pipeline.index import INDEX_FILENAME
 from repro.physical import IndexConfig
 
@@ -219,8 +217,7 @@ class TestStoreIndex:
 class TestStreamingAggregation:
     def test_streaming_equals_batch_in_any_order(self, warm_store):
         """Satellite: random completion order must fold to the same
-        summary as the canonical batch order — bit-identical in exact
-        mode."""
+        summary as the canonical batch order, bit for bit."""
         store, _ = warm_store
         rows = list(store.scan())
         batch = StreamingAggregator()
@@ -233,42 +230,15 @@ class TestStreamingAggregation:
             assert streaming.summary() == batch.summary()
             assert streaming.summary().render() == batch.summary().render()
 
-    def test_sketch_mode_within_documented_bounds(self, warm_store):
-        """P² quantiles are approximate and order-dependent; the
-        documented bounds are: always inside the observed [min, max],
-        within 50% relative error on these grids."""
-        store, _ = warm_store
-        rows = list(store.scan())
-        exact = StreamingAggregator(exact=True)
-        sketch = StreamingAggregator(exact=False)
-        exact.add_many(rows)
-        shuffled = rows[:]
-        random.Random(7).shuffle(shuffled)
-        sketch.add_many(shuffled)
-        for e_stats, s_stats in zip(
-            exact.summary().by_estimator, sketch.summary().by_estimator
-        ):
-            assert e_stats.estimator == s_stats.estimator
-            assert e_stats.n == s_stats.n
-            q_errors = [
-                r.q_error for r in rows if r.estimator == e_stats.estimator
-            ]
-            assert min(q_errors) <= s_stats.q_error_median <= max(q_errors)
-            assert abs(
-                s_stats.q_error_median - e_stats.q_error_median
-            ) <= 0.5 * e_stats.q_error_median
-            # counts and bucket tallies stay exact in sketch mode
-            assert s_stats.frac_slow_2x == e_stats.frac_slow_2x
+    def test_sketch_mode_rejected(self):
+        """The exact fold is the only mode; the ``exact`` keyword stays
+        only so callers passing ``exact=True`` keep working."""
+        from repro.pipeline.kinds import SWEEP_KIND
 
-    def test_p2_sketch_accuracy_on_large_sample(self):
-        rng = random.Random(13)
-        values = [rng.lognormvariate(0.0, 2.0) for _ in range(4000)]
-        for p in (0.5, 0.95):
-            sketch = P2Quantile(p)
-            for v in values:
-                sketch.add(v)
-            exact = _exact_quantile(sorted(values), p)
-            assert abs(sketch.value() - exact) <= 0.1 * exact
+        assert isinstance(SWEEP_KIND.aggregator(exact=True),
+                          StreamingAggregator)
+        with pytest.raises(ValueError, match="exact"):
+            SWEEP_KIND.aggregator(exact=False)
 
     def test_aggregator_as_progress_callback(self, warm_store):
         """The aggregator consumes UnitReports directly; a fully

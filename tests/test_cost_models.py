@@ -84,7 +84,7 @@ class TestSimpleCostModel:
     def test_unknown_algorithm_rejected(self, toy_db):
         q = _toy_query()
         node = JoinNode(
-            ScanNode(0, "f", "fact"), ScanNode(1, "a", "dim_a"), "smj",
+            ScanNode(0, "f", "fact"), ScanNode(1, "a", "dim_a"), "hash",
             [q.joins[0]],
         )
         node.algorithm = "bogus"  # simulate corruption
@@ -125,21 +125,6 @@ class TestPostgresCostModel:
         assert model.join_cost(nlj, card) > 10 * model.join_cost(
             hash_join, card
         )
-
-    def test_smj_costs_more_than_hash(self, imdb_tiny):
-        q = Query(
-            "q",
-            [Relation("ci", "cast_info"), Relation("mi", "movie_info")],
-            {},
-            [JoinEdge("ci", "movie_id", "mi", "movie_id", "fk_fk")],
-        )
-        card = PostgresEstimator(imdb_tiny).bind(q)
-        model = PostgresCostModel(imdb_tiny)
-        scan_ci = ScanNode(0, "ci", "cast_info")
-        scan_mi = ScanNode(1, "mi", "movie_info")
-        hash_join = JoinNode(scan_ci, scan_mi, "hash", [q.joins[0]])
-        smj = JoinNode(scan_ci, scan_mi, "smj", [q.joins[0]])
-        assert model.join_cost(smj, card) > model.join_cost(hash_join, card)
 
     def test_tuned_scales_cpu_only(self, toy_db):
         q = _toy_query()

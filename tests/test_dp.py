@@ -15,7 +15,7 @@ from repro.cost import (
 from repro.cost.base import CostModel, plan_cost
 from repro.enumeration import DPEnumerator, QueryContext
 from repro.enumeration.candidates import candidate_joins
-from repro.errors import EnumerationError
+from repro.errors import EnumerationError, EstimationError
 from repro.kernels.dp import ALGO_HASH, ALGO_INLJ, ALGO_NLJ, optimize_batched
 from repro.physical import IndexConfig, PhysicalDesign
 from repro.plans import JoinNode, TreeShape, classify_shape, satisfies_shape
@@ -23,6 +23,8 @@ from repro.plans.plan import PlanNode, ScanNode, annotate_estimates
 from repro.query.predicates import Comparison
 from repro.query.query import JoinEdge, Query, Relation
 from repro.workloads import job_query
+
+from reference.dp import optimize_scalar
 
 
 def _toy_query(selections=None):
@@ -117,6 +119,20 @@ class TestDPOptimality:
         assert cost == pytest.approx(brute)
 
 
+class _NanAtRoot(CardinalityEstimator):
+    """Truth everywhere except a NaN for the full join."""
+
+    name = "nan-at-root"
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def cardinality(self, query, subset, unfiltered_alias=None):
+        if subset == query.all_mask:
+            return float("nan")
+        return self.inner.cardinality(query, subset, unfiltered_alias)
+
+
 class TestDPProperties:
     def test_plan_covers_all_relations(self, suite_tiny):
         model = SimpleCostModel(suite_tiny.db)
@@ -198,6 +214,24 @@ class TestDPProperties:
         with pytest.raises(ValueError, match="only pricing path"):
             DPEnumerator(model, design, kernels="cuda")
 
+    def test_allow_smj_rejected(self, toy_db):
+        """Sort-merge joins are gone; the keyword survives only so that
+        callers passing ``allow_smj=False`` keep working."""
+        model = SimpleCostModel(toy_db)
+        design = PhysicalDesign(toy_db, IndexConfig.PK_FK)
+        with pytest.raises(ValueError, match="sort-merge"):
+            DPEnumerator(model, design, allow_smj=True)
+
+    def test_nan_cardinality_raises(self, imdb_tiny):
+        """A NaN estimate is an error naming the query and the
+        estimator, not a plan chosen by comparison order."""
+        q = job_query("3a")
+        design = PhysicalDesign(imdb_tiny, IndexConfig.PK_FK)
+        card = _NanAtRoot(TrueCardinalities(imdb_tiny)).bind(q)
+        dp = DPEnumerator(SimpleCostModel(imdb_tiny), design)
+        with pytest.raises(EstimationError, match="'3a'.*'nan-at-root'"):
+            dp.optimize(QueryContext(q), card)
+
     def test_recost_under_truth_not_below_true_optimum(self, imdb_tiny):
         """The paper's core recosting invariant: a plan chosen under
         estimates can never beat the true optimum when both are measured
@@ -210,21 +244,7 @@ class TestDPProperties:
         tcard = TrueCardinalities(imdb_tiny).bind(q)
         est_plan, _ = dp.optimize(ctx, PostgresEstimator(imdb_tiny).bind(q))
         _, true_optimal = dp.optimize(ctx, tcard)
-        assert dp.recost(est_plan, tcard) >= true_optimal - 1e-9
-
-
-class _NanAtRoot(CardinalityEstimator):
-    """Truth everywhere except a NaN for the full join."""
-
-    name = "nan-at-root"
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-
-    def cardinality(self, query, subset, unfiltered_alias=None):
-        if subset == query.all_mask:
-            return float("nan")
-        return self.inner.cardinality(query, subset, unfiltered_alias)
+        assert plan_cost(est_plan, model, tcard) >= true_optimal - 1e-9
 
 
 #: every cost model the batched pricer must reproduce bit for bit
@@ -236,8 +256,8 @@ COST_MODELS = {
 
 
 class TestKernelBackendParity:
-    """The batched pricer against the scalar loop, called directly: the
-    chosen plan's repr and the cost float (compared via ``.hex()``) must
+    """The batched pricer against the candidate-at-a-time reference
+    loop (``tests/reference/dp.py``): the chosen plan's repr and the cost float (compared via ``.hex()``) must
     agree exactly — ties included, which is what the rank-encoded winner
     selection in :mod:`repro.kernels.dp` guarantees.  Every case runs
     under each cost model with NLJ on and off."""
@@ -252,12 +272,10 @@ class TestKernelBackendParity:
         dp = DPEnumerator(model, design, allow_nlj=allow_nlj, shape=shape)
         context = QueryContext(query)
         if path == "numpy":
-            batched = optimize_batched(dp, context, card)
-            assert batched is not None, "the batched pricer declined"
-            plan, cost = batched
+            plan, cost = optimize_batched(dp, context, card)
             annotate_estimates(plan, card)
         else:
-            plan, cost = dp.optimize_scalar(context, card)
+            plan, cost = optimize_scalar(dp, context, card)
         return repr(plan), cost.hex()
 
     def _assert_identical(self, db, query, **kwargs):
@@ -363,27 +381,3 @@ class TestKernelBackendParity:
 
         with pytest.raises(TypeError, match="batch_join_costs"):
             ScalarOnly()
-
-    @pytest.mark.parametrize("inputs", ["smj", "nan-card"])
-    def test_scalar_loop_prices_what_the_kernel_declines(
-        self, imdb_tiny, inputs
-    ):
-        """The pricing path is chosen from observable input properties:
-        sort-merge joins and NaN cardinalities go to the scalar loop,
-        which :meth:`optimize` then returns unchanged."""
-        q = job_query("3a")
-        design = PhysicalDesign(imdb_tiny, IndexConfig.PK_FK)
-        card = TrueCardinalities(imdb_tiny).bind(q)
-        model = SimpleCostModel(imdb_tiny)
-        allow_smj = False
-        if inputs == "smj":
-            allow_smj = True
-        else:
-            card = _NanAtRoot(TrueCardinalities(imdb_tiny)).bind(q)
-        dp = DPEnumerator(model, design, allow_smj=allow_smj)
-        context = QueryContext(q)
-        assert optimize_batched(dp, context, card) is None
-        plan, cost = dp.optimize(context, card)
-        scalar_plan, scalar_cost = dp.optimize_scalar(context, card)
-        assert repr(plan) == repr(scalar_plan)
-        assert cost.hex() == scalar_cost.hex()

@@ -48,7 +48,7 @@ def _plan(q, algorithm, db):
 
 
 class TestOperatorCorrectness:
-    @pytest.mark.parametrize("algorithm", ["hash", "nlj", "smj", "inlj"])
+    @pytest.mark.parametrize("algorithm", ["hash", "nlj", "inlj"])
     def test_all_join_algorithms_agree(self, toy_db, algorithm):
         q = _toy_query({"a": Comparison("color", "=", "blue")})
         plan = _plan(q, algorithm, toy_db)

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.pipeline import (
+    DEFAULT_CONFIGS,
     EnumeratorConfig,
     ResultStore,
     SweepSpec,
@@ -70,6 +71,26 @@ class TestTaskLayer:
             EnumeratorConfig("pk", indexes=IndexConfig.PK, cost_model="tuned"),
         ):
             assert config_fingerprint(variant) != config_fingerprint(a)
+
+    def test_fingerprint_bytes_pinned(self):
+        """Stored cells are keyed by these hex strings: an edit that
+        changes one (a renamed, added or dropped config field) would
+        re-price every stored cell of that config, so it must fail
+        here first."""
+        from repro.experiments.fig8 import report_specs
+
+        assert [config_fingerprint(c) for c in DEFAULT_CONFIGS] == [
+            "55aa96ab677d", "88d2dc0f9e04",
+        ]
+        replay = {
+            c.name: config_fingerprint(c)
+            for c in report_specs(SweepSpec())[0].configs
+        }
+        assert replay["tuned"] == "ff6642fbadbb"
+
+    def test_sort_merge_config_rejected(self):
+        with pytest.raises(ValueError, match="allow_smj"):
+            EnumeratorConfig("x", allow_smj=True)
 
     def test_duplicate_config_names_rejected(self):
         spec = SweepSpec(

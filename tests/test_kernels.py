@@ -32,6 +32,7 @@ from repro.util.joinkeys import combine_keys
 from repro.workloads import job_query
 
 from reference import subgraphs as reference
+from reference.dp import optimize_scalar
 from reference.truth import ReferenceTrueCardinalities
 from test_truth_differential import _random_case
 
@@ -158,14 +159,14 @@ class TestChainCase:
 
     def test_oracle_and_dp_parity(self):
         """A small chain instance end to end: the kernel oracle and the
-        batched pricer against the reference oracle and the scalar loop
-        — identical counts, plan and cost bits."""
+        batched pricer against the reference oracle and the reference DP
+        loop — identical counts, plan and cost bits."""
         from repro.workloads import chain_case
 
         db, query = chain_case(n_relations=8, n_rows=60)
-        production = _price_chain(db, query, TrueCardinalities, "optimize")
+        production = _price_chain(db, query, TrueCardinalities)
         expected = _price_chain(
-            db, query, ReferenceTrueCardinalities, "optimize_scalar"
+            db, query, ReferenceTrueCardinalities, optimize_scalar
         )
         assert production == expected
 
@@ -177,7 +178,7 @@ class TestChainCase:
 
         db, query = chain_case(n_relations=16)
         counts, plan_repr, cost_hex = _price_chain(
-            db, query, TrueCardinalities, "optimize"
+            db, query, TrueCardinalities
         )
         assert len(counts) == 16 * 17 // 2
         assert plan_repr.count("Scan(") == 16
@@ -185,8 +186,9 @@ class TestChainCase:
         assert float.fromhex(cost_hex) > 0
 
 
-def _price_chain(db, query, oracle_cls, method):
-    """Oracle + exhaustive DP: every observable (counts, plan repr, cost
+def _price_chain(db, query, oracle_cls, optimize=None):
+    """Oracle + exhaustive DP (``optimize(dp, context, card)``, default
+    the production path): every observable (counts, plan repr, cost
     bits)."""
     from repro.cost import SimpleCostModel
     from repro.enumeration import DPEnumerator, QueryContext
@@ -199,7 +201,9 @@ def _price_chain(db, query, oracle_cls, method):
         PhysicalDesign(db, IndexConfig.PK_FK),
         allow_nlj=True,
     )
-    plan, cost = getattr(dp, method)(QueryContext(query), oracle.bind(query))
+    if optimize is None:
+        optimize = DPEnumerator.optimize
+    plan, cost = optimize(dp, QueryContext(query), oracle.bind(query))
     return counts, repr(plan), cost.hex()
 
 
@@ -210,8 +214,8 @@ def _price_chain(db, query, oracle_cls, method):
 
 def _reference_sweep(spec, root, monkeypatch):
     """``run_sweep`` on the reference path: python oracle joins and the
-    scalar DP loop for every cell."""
-    from repro.enumeration import dp as dp_module
+    reference DP loop for every cell."""
+    from repro.enumeration import DPEnumerator
     from repro.pipeline import WorkloadResources, run_sweep
     from repro.pipeline.tasks import make_database, spec_queries
     from repro.pipeline.truthstore import TruthStore
@@ -227,7 +231,7 @@ def _reference_sweep(spec, root, monkeypatch):
                                dataset=spec.dataset),
     )
     with monkeypatch.context() as patch:
-        patch.setattr(dp_module, "optimize_batched", lambda *args: None)
+        patch.setattr(DPEnumerator, "optimize", optimize_scalar)
         return run_sweep(spec, resources=resources, result_root=root)
 
 

@@ -30,9 +30,7 @@ def test_all_random_plans_agree_with_truth(imdb_tiny, query_name, suite_tiny):
     design = PhysicalDesign(imdb_tiny, IndexConfig.PK_FK)
     rng = np.random.default_rng(9)
     for _ in range(6):
-        plan, _ = random_plan(
-            context, truth_card, cost_model, design, rng, allow_smj=True
-        )
+        plan, _ = random_plan(context, truth_card, cost_model, design, rng)
         ctx = ExecutionContext(
             imdb_tiny, design, EngineConfig(rehash=True, work_budget=1e12)
         )

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.cost import SimpleCostModel, TunedPostgresCostModel
-from repro.enumeration import DPEnumerator, QueryContext, TopDownEnumerator
+from repro.enumeration import DPEnumerator, QueryContext
 from repro.errors import EnumerationError
 from repro.physical import IndexConfig, PhysicalDesign
 from repro.query.query import JoinEdge, Query, Relation
 from repro.workloads import job_query
+
+from reference.topdown import TopDownEnumerator
 
 SMALL_QUERIES = ["1a", "2a", "3a", "4a", "5c", "6a", "13d", "32a"]
 
