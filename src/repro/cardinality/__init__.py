@@ -32,8 +32,7 @@ from repro.cardinality.profiles import (
 )
 from repro.cardinality.qerror import q_error, signed_ratio
 from repro.cardinality.sampling import SamplingEstimator
-from repro.cardinality.truth import TrueCardinalities
-from repro.cardinality.truth_plan import MaterialisationPlan
+from repro.cardinality.truth import MaterialisationPlan, TrueCardinalities
 
 __all__ = [
     "MaterialisationPlan",

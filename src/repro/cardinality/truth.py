@@ -21,17 +21,13 @@ that table's selection is applied (the paper's ``A ⋈ B`` vs
 these through ``unfiltered_alias``.
 
 Bulk computation is organised around an explicit
-:class:`~repro.cardinality.truth_plan.MaterialisationPlan` — the
-per-query DAG of connected subsets grouped into size levels, where each
-level depends only on materialisations from smaller levels.
-:meth:`TrueCardinalities.compute_all` walks the plan level by level with
-the batched probes of :mod:`repro.kernels.oracle` (evicting stale
-materialisations as it goes), and with ``processes > 1`` hands whole
-levels to the level-parallel executor in
-:mod:`repro.cardinality.truth_plan`, which shards a level's subsets
-across a ``ProcessPoolExecutor`` and merges the exact counts back into
-the same per-query state — parallel output is bit-identical to
-sequential.
+:class:`MaterialisationPlan` — the per-query DAG of connected subsets
+grouped into size levels, where each level depends only on
+materialisations from smaller levels.  :meth:`TrueCardinalities.
+compute_all` walks the plan level by level with the batched probes of
+:mod:`repro.kernels.oracle`, evicting stale materialisations as it goes.
+The walk is sequential within a query; sweeps parallelise across
+queries instead (``--processes``).
 """
 
 from __future__ import annotations
@@ -51,6 +47,49 @@ from repro.query.query import Query
 from repro.query.subgraphs import SubgraphCatalog
 from repro.util.bitset import popcount
 from repro.util.coverage import covers
+
+
+class MaterialisationPlan:
+    """The per-query DAG of connected subsets, grouped into size levels.
+
+    Structure is derived once from the (cached) subgraph catalog.
+
+    Attributes
+    ----------
+    levels:
+        ``levels[k]`` lists the connected subsets of size ``k`` in
+        deterministic (ascending bitmask) order; index 0 is empty.
+    parent:
+        ``subset -> (parent, bit)`` for every composite subset — the
+        expansion edge the oracle joins along.
+    """
+
+    def __init__(self, catalog: SubgraphCatalog) -> None:
+        self.n = catalog.graph.n
+        levels: list[list[int]] = [[] for _ in range(self.n + 1)]
+        parent: dict[int, tuple[int, int]] = {}
+        for subset in catalog.csgs:
+            size = popcount(subset)
+            levels[size].append(subset)
+            if size > 1:
+                parent[subset] = catalog.expansion_parent(subset)
+        self.levels = levels
+        self.parent = parent
+
+    @property
+    def top(self) -> int:
+        """The largest level with any subset (== size of the join graph
+        for a connected query)."""
+        for size in range(self.n, 0, -1):
+            if self.levels[size]:
+                return size
+        return 0
+
+    def cap(self, max_size: int | None) -> int:
+        """The effective top level for a ``max_size`` request."""
+        if max_size is None:
+            return self.top
+        return max(1, min(max_size, self.top))
 
 
 @dataclass
@@ -94,9 +133,9 @@ class _QueryState:
             for edge in query.joins
         ]
         self.complete_cover: int | None | bool = False
-        self._plan: "MaterialisationPlan | None" = None  # noqa: F821
+        self._plan: MaterialisationPlan | None = None
 
-    def plan(self) -> "MaterialisationPlan":  # noqa: F821
+    def plan(self) -> MaterialisationPlan:
         """The query's (full) materialisation plan, built once.
 
         The plan always describes every level; callers slice it by the
@@ -104,8 +143,6 @@ class _QueryState:
         cache with a truncated level set.
         """
         if self._plan is None:
-            from repro.cardinality.truth_plan import MaterialisationPlan
-
             self._plan = MaterialisationPlan(self.catalog)
         return self._plan
 
@@ -159,10 +196,6 @@ class TrueCardinalities(CardinalityEstimator):
             weakref.WeakValueDictionary()
         )
         self._recent: "OrderedDict[int, _QueryState]" = OrderedDict()
-        # lazily created worker pool for level-parallel compute_all; the
-        # database ships to each worker exactly once (pool initializer)
-        self._pool = None
-        self._pool_processes = 0
 
     # ------------------------------------------------------------------ #
 
@@ -355,70 +388,37 @@ class TrueCardinalities(CardinalityEstimator):
         self,
         query: Query,
         max_size: int | None = None,
-        processes: int = 1,
         warm_unfiltered: bool = False,
     ) -> dict[int, int]:
         """Exact counts for every connected subset up to ``max_size``.
 
-        Walks the query's :class:`~repro.cardinality.truth_plan.
-        MaterialisationPlan` level by level, evicting materialisations
-        more than one level below the current size — peak memory is two
-        "generations" of compressed intermediates.  With ``processes >
-        1`` the levels are executed by the level-parallel pool executor
-        (see :mod:`repro.cardinality.truth_plan`); the merged counts are
-        bit-identical to a sequential run.  A request fully answered by
-        the state's completeness claim (an earlier equal-or-wider
-        ``compute_all``, or a preload that carried its coverage) returns
-        from cache without touching the plan.
+        Walks the query's :class:`MaterialisationPlan` level by level,
+        evicting materialisations more than one level below the current
+        size — peak memory is two "generations" of compressed
+        intermediates.  A request fully answered by the state's
+        completeness claim (an earlier equal-or-wider ``compute_all``, or
+        a preload that carried its coverage) returns from cache without
+        touching the plan.
 
-        ``warm_unfiltered`` asks the sequential walk to also count each
-        level's unfiltered-intermediate neighbours while the level's
+        ``warm_unfiltered`` asks the walk to also count each level's
+        unfiltered-intermediate neighbours while the level's
         materialisations are still live, into a memory-only side cache —
         a caller that will price index-nested-loop joins against this
         oracle avoids re-materialising evicted parents later.  The knob
         is pure execution policy: entries only reach the observable
         ``unfiltered_counts`` when (and in the order) they are actually
-        requested, so counts and stored bytes are unchanged.  Only the
-        level-parallel executor ignores it.
+        requested, so counts and stored bytes are unchanged.
         """
         state = self._state(query)
         if state.covered(max_size):
             return dict(state.counts)
         plan = state.plan()
-        cap = plan.cap(max_size)
-        if processes > 1 and self._can_parallelize():
-            from repro.cardinality.truth_plan import compute_plan_parallel
-
-            compute_plan_parallel(self, state, plan, cap, processes)
-        else:
-            compute_levels(
-                self, state, plan, cap, warm_unfiltered=warm_unfiltered
-            )
+        compute_levels(
+            self, state, plan, plan.cap(max_size),
+            warm_unfiltered=warm_unfiltered,
+        )
         state.widen_cover(max_size)
         return dict(state.counts)
-
-    @staticmethod
-    def _can_parallelize() -> bool:
-        """Whether this process may fan the oracle out to child workers.
-
-        Daemonic processes (e.g. ``multiprocessing.Pool`` sweep workers)
-        cannot spawn children; the oracle silently falls back to the
-        sequential walk there rather than crash.
-        """
-        import multiprocessing
-
-        return not multiprocessing.current_process().daemon
-
-    def close(self) -> None:
-        """Shut down the level-parallel worker pool (if one was started).
-
-        Idempotent; the oracle remains usable afterwards (a later
-        parallel ``compute_all`` starts a fresh pool).
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_processes = 0
 
     def _evict(self, state: _QueryState, keep_min_size: int) -> None:
         stale = [

@@ -210,7 +210,6 @@ def _build_sweep_spec(args: argparse.Namespace):
         estimators=estimators,
         configs=configs,
         dataset=args.dataset,
-        oracle_processes=args.oracle_processes,
     )
     return spec, 0
 
@@ -311,9 +310,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             tuple(args.queries.split(",")) if args.queries else None
         ),
         dataset=args.dataset,
-        oracle_processes=args.oracle_processes,
     )
     truth_root = args.truth_cache or args.result_cache
+    result_root = args.result_cache or args.truth_cache
     progress = None
     if args.progress:
         def progress(report):
@@ -325,7 +324,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         run = frame_mod.run_report(
             name,
             base,
-            result_root=args.result_cache,
+            result_root=result_root,
             truth_root=truth_root,
             processes=args.processes,
             progress=progress,
@@ -336,14 +335,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         replayed += run.replayed_cells
         priced += run.priced_cells
     delta = instrument.snapshot() - before
-    generated = str(delta.db_generations)
-    if priced and args.processes > 1:
-        # the counters are per-process: pool workers rebuild their own
-        # database, which the master's counter cannot see
-        generated += " in-master (pool workers generate their own)"
     print(
         f"replayed {replayed} cells, priced {priced}; "
-        f"databases generated: {generated}",
+        f"databases generated: {delta.db_generations}",
         file=sys.stderr,
     )
     return 0
@@ -354,14 +348,16 @@ def _report_summary(args: argparse.Namespace) -> int:
     from repro.pipeline import ResultStore
     from repro.pipeline.aggregate import aggregate_deep_store, aggregate_store
 
-    if not args.result_cache:
+    result_root = args.result_cache or args.truth_cache
+    if not result_root:
         print(
-            "report summary needs --result-cache (it folds the store)",
+            "report summary needs --result-cache (or --truth-cache): "
+            "it folds the store",
             file=sys.stderr,
         )
         return 2
     store = ResultStore(
-        args.result_cache,
+        result_root,
         args.scale,
         args.seed,
         dataset=args.dataset,
@@ -470,9 +466,9 @@ def _store_flags() -> argparse.ArgumentParser:
     """Shared parent parser: stores, pricing fan-out, resume, progress.
 
     One definition of ``--truth-cache`` / ``--result-cache`` /
-    ``--processes`` / ``--oracle-processes`` / ``--resume`` /
-    ``--progress`` serves ``sweep``, ``report``, and ``work enqueue``
-    alike — the flags mean the same thing everywhere.
+    ``--processes`` / ``--resume`` / ``--progress`` serves ``sweep``,
+    ``report``, and ``work enqueue`` alike — the flags mean the same
+    thing everywhere.
     """
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
@@ -482,23 +478,13 @@ def _store_flags() -> argparse.ArgumentParser:
     p.add_argument(
         "--result-cache", default=None, metavar="DIR",
         help=(
-            "directory for the persistent priced-row store (sweep/work "
-            "default to the --truth-cache directory, report replays "
-            "from here)"
+            "directory for the persistent priced-row store (defaults "
+            "to the --truth-cache directory)"
         ),
     )
     p.add_argument(
         "--processes", type=int, default=1,
         help="worker processes (1 = sequential; results are identical)",
-    )
-    p.add_argument(
-        "--oracle-processes", type=int, default=1,
-        help=(
-            "worker processes inside the exact-cardinality oracle "
-            "(level-parallel materialisation; bit-identical to "
-            "sequential).  Applies to sequential sweeps and to a single "
-            "straggling unit; pooled unit workers stay sequential"
-        ),
     )
     p.add_argument(
         "--resume", action=argparse.BooleanOptionalAction, default=True,

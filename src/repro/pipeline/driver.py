@@ -93,8 +93,6 @@ def _grid_key(spec: SweepSpec | DeepSpec) -> tuple:
 def clear_grid_caches() -> None:
     """Drop the process-level database/resources caches (tests, bench)."""
     _DB_CACHE.clear()
-    for res in _RESOURCES_CACHE.values():
-        res.truth.close()
     _RESOURCES_CACHE.clear()
 
 
@@ -164,8 +162,7 @@ def build_resources(
     if key is not None:
         _RESOURCES_CACHE[key] = resources
         while len(_RESOURCES_CACHE) > _RESOURCES_CAP:
-            _, evicted = _RESOURCES_CACHE.popitem(last=False)
-            evicted.truth.close()
+            _RESOURCES_CACHE.popitem(last=False)
     return resources
 
 
@@ -198,9 +195,7 @@ def price_cells(
     # letting DP pull counts on demand would cache every materialisation
     # of every size at once on a 13-relation query
     with phase("truth"):
-        ws.compute_truth(
-            processes=spec.oracle_processes, warm_unfiltered=True
-        )
+        ws.compute_truth(warm_unfiltered=True)
         tcard = ws.true_card
     all_mask = query.all_mask
     rows: list[SweepRow] = []
@@ -316,11 +311,7 @@ def price_deep_cells(
             caps.append(config.max_subexpr_size)
     truth_cap = None if need_full or not caps else max(caps)
     with phase("truth"):
-        ws.compute_truth(
-            max_size=truth_cap,
-            processes=spec.oracle_processes,
-            warm_unfiltered=need_full,
-        )
+        ws.compute_truth(max_size=truth_cap, warm_unfiltered=need_full)
         tcard = ws.true_card
 
     cells: dict[str, tuple[DeepRow, ...]] = {}
@@ -503,7 +494,6 @@ def run_cells(
         if stream_csv is not None
         else None
     )
-    scheduler: CellScheduler | None = None
     completed = 0
     full_units = {u.query: u for u in units}
 
@@ -599,15 +589,6 @@ def run_cells(
     finally:
         if writer is not None:
             writer.close()
-        if (
-            resources is None
-            and scheduler is not None
-            and scheduler.resources is not None
-        ):
-            # the run built its own resources: shut down any oracle
-            # worker pool rather than leave idle processes behind (a
-            # caller-provided resources object keeps its warm pool)
-            scheduler.resources.truth.close()
     return kind.make_result(spec, all_rows, n_priced, n_cached)
 
 

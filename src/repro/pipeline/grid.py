@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 from repro.catalog.schema import Database
 from repro.cost import (
@@ -92,11 +93,8 @@ class SweepSpec:
     estimators: tuple[str, ...] = tuple(ESTIMATOR_ORDER)
     configs: tuple[EnumeratorConfig, ...] = DEFAULT_CONFIGS
     dataset: str = "imdb"
-    #: worker processes for the exact-cardinality oracle itself (1 =
-    #: sequential).  Execution policy, not content: it is deliberately
-    #: excluded from every cell key and fingerprint because the oracle's
-    #: level-parallel mode is bit-identical to sequential.
-    oracle_processes: int = 1
+    # only for stepwise.py; goes with the next benchmark change
+    oracle_processes: ClassVar[int] = 1
 
 
 # --------------------------------------------------------------------- #
@@ -177,7 +175,8 @@ class DeepSpec:
     estimators: tuple[str, ...] = tuple(ESTIMATOR_ORDER)
     configs: tuple[DeepConfig, ...] = ()
     dataset: str = "imdb"
-    oracle_processes: int = 1
+    # only for stepwise.py; goes with the next benchmark change
+    oracle_processes: ClassVar[int] = 1
 
     @classmethod
     def from_base(
@@ -195,7 +194,6 @@ class DeepSpec:
             estimators=estimators,
             configs=configs,
             dataset=base.dataset,
-            oracle_processes=base.oracle_processes,
         )
 
 

@@ -182,7 +182,6 @@ def _base_spec_payload(spec) -> dict:
         ),
         "estimators": list(spec.estimators),
         "dataset": spec.dataset,
-        "oracle_processes": spec.oracle_processes,
     }
 
 
@@ -281,7 +280,6 @@ class SweepKind(CellKind):
                 for c in payload["configs"]
             ),
             dataset=payload["dataset"],
-            oracle_processes=payload["oracle_processes"],
         )
 
 
@@ -374,7 +372,6 @@ class DeepKind(CellKind):
                 for c in payload["configs"]
             ),
             dataset=payload["dataset"],
-            oracle_processes=payload["oracle_processes"],
         )
 
 

@@ -45,9 +45,10 @@ from repro.pipeline.results import ResultStore
 from repro.pipeline.tasks import CellUnit
 from repro.pipeline.truthstore import atomic_write_json, locked
 
-#: queue directory format version; version 2 spec files carry no store
-#: engine, so a version-1 queue (which may name another one) is refused
-_QUEUE_VERSION = 2
+#: queue directory format version; version 3 spec files carry no oracle
+#: process count and version 2 ones no store engine, so an older queue
+#: (which may name either) is refused
+_QUEUE_VERSION = 3
 
 #: default seconds a silent lease survives before any worker reclaims it
 DEFAULT_LEASE_TTL = 120.0
@@ -452,9 +453,6 @@ class _SpecContext:
             self.spec, info["truth_root"], shared=True
         )
 
-    def close(self) -> None:
-        self.resources.truth.close()
-
 
 @dataclass
 class WorkerStats:
@@ -499,63 +497,59 @@ def run_worker(
     """
     stats = WorkerStats(worker_id=worker_id or default_worker_id())
     contexts: dict[str, _SpecContext] = {}
-    try:
-        while max_units is None or stats.units_done < max_units:
-            lease = queue.claim(stats.worker_id)
-            if lease is None:
-                if queue.drained():
-                    break
-                time.sleep(poll)
-                continue
-            context = contexts.get(lease.payload["spec"])
-            if context is None:
-                context = _SpecContext(queue.spec_info(lease.payload["spec"]))
-                contexts[lease.payload["spec"]] = context
-            kind, spec = context.kind, context.spec
-            pairs = tuple(
-                (int(c), int(e)) for c, e in lease.payload["pairs"]
+    while max_units is None or stats.units_done < max_units:
+        lease = queue.claim(stats.worker_id)
+        if lease is None:
+            if queue.drained():
+                break
+            time.sleep(poll)
+            continue
+        context = contexts.get(lease.payload["spec"])
+        if context is None:
+            context = _SpecContext(queue.spec_info(lease.payload["spec"]))
+            contexts[lease.payload["spec"]] = context
+        kind, spec = context.kind, context.spec
+        pairs = tuple(
+            (int(c), int(e)) for c, e in lease.payload["pairs"]
+        )
+        unit = context.units[lease.payload["query"]].restrict(pairs)
+
+        stop = threading.Event()
+        beat_every = max(queue.lease_ttl / 4.0, 0.05)
+
+        def _beat() -> None:
+            while not stop.wait(beat_every):
+                if not queue.heartbeat(lease):
+                    return  # lease stolen; pricing finishes anyway
+
+        beater = threading.Thread(target=_beat, daemon=True)
+        beater.start()
+        try:
+            started = time.perf_counter()
+            raw = kind.price_raw(
+                context.resources,
+                context.resources.query(unit.query),
+                spec,
+                pairs,
             )
-            unit = context.units[lease.payload["query"]].restrict(pairs)
-
-            stop = threading.Event()
-            beat_every = max(queue.lease_ttl / 4.0, 0.05)
-
-            def _beat() -> None:
-                while not stop.wait(beat_every):
-                    if not queue.heartbeat(lease):
-                        return  # lease stolen; pricing finishes anyway
-
-            beater = threading.Thread(target=_beat, daemon=True)
-            beater.start()
-            try:
-                started = time.perf_counter()
-                raw = kind.price_raw(
-                    context.resources,
-                    context.resources.query(unit.query),
-                    spec,
-                    pairs,
-                )
-                seconds = time.perf_counter() - started
-            finally:
-                stop.set()
-                beater.join()
-            priced = kind.normalize(unit.cells, raw)
-            kind.save_stored(
-                context.store,
-                unit.query,
-                {kind.store_key(c): v for c, v in priced.items()},
+            seconds = time.perf_counter() - started
+        finally:
+            stop.set()
+            beater.join()
+        priced = kind.normalize(unit.cells, raw)
+        kind.save_stored(
+            context.store,
+            unit.query,
+            {kind.store_key(c): v for c, v in priced.items()},
+        )
+        if queue.complete(lease):
+            stats.units_done += 1
+        else:
+            stats.leases_lost += 1
+        stats.cells_priced += len(priced)
+        if progress is not None:
+            progress(
+                f"[{stats.worker_id}] {unit.query}: "
+                f"{len(priced)} cell(s) in {seconds:.2f}s"
             )
-            if queue.complete(lease):
-                stats.units_done += 1
-            else:
-                stats.leases_lost += 1
-            stats.cells_priced += len(priced)
-            if progress is not None:
-                progress(
-                    f"[{stats.worker_id}] {unit.query}: "
-                    f"{len(priced)} cell(s) in {seconds:.2f}s"
-                )
-    finally:
-        for context in contexts.values():
-            context.close()
     return stats

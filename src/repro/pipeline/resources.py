@@ -190,19 +190,18 @@ class QueryWorkspace:
         With a truth store attached, previously computed counts are
         preloaded from disk first (so a given database's truth oracle is
         materialised once per database ever, not once per process), and
-        newly widened coverage is written back.  ``processes > 1`` runs
-        the oracle's bottom-up materialisation level-parallel (see
-        :mod:`repro.cardinality.truth_plan`); counts and stored bytes
-        are bit-identical either way.  ``warm_unfiltered`` pre-counts
-        the unfiltered intermediates index-nested-loop pricing will ask
-        for (sequential oracle only; pure execution policy).
+        newly widened coverage is written back.  ``warm_unfiltered``
+        pre-counts the unfiltered intermediates index-nested-loop pricing
+        will ask for (pure execution policy).
         """
+        # only for stepwise.py; goes with the next benchmark change
+        if processes != 1:
+            raise ValueError(
+                f"processes={processes!r}: the truth oracle is sequential"
+            )
         self._ensure_truth_state()
         counts = self.resources.truth.compute_all(
-            self.query,
-            max_size=max_size,
-            processes=processes,
-            warm_unfiltered=warm_unfiltered,
+            self.query, max_size=max_size, warm_unfiltered=warm_unfiltered
         )
         full = self.graph.n
         if self._computed_cover is False or not _covers(

@@ -32,15 +32,6 @@ counter back with every unit, so the master can both amortise setup
 time honestly (:class:`~repro.pipeline.instrument.UnitTiming`) and
 *prove* that a pooled cold sweep generated each database exactly once
 (:attr:`CellScheduler.pool_stats`).
-
-The truth oracle has a pool of its own (``oracle_processes`` on either
-spec kind, see :mod:`repro.cardinality.truth_plan`): the sequential
-path gives it to every unit, and when exactly one unit is pending — the
-classic "29a is the last straggler" resume — the scheduler skips the
-unit pool entirely and dedicates the machine to the oracle.  Pool
-workers always run their oracle sequentially (they are daemonic, and
-the unit pool already owns the machine); every mode produces
-bit-identical rows.
 """
 
 from __future__ import annotations
@@ -49,7 +40,7 @@ import multiprocessing
 import os
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.pipeline.instrument import UnitTiming
@@ -130,11 +121,6 @@ def _init_worker(
     # the unit pool already owns the machine — one BLAS/OpenMP thread
     # per worker, or the numpy kernels oversubscribe the cores
     pin_math_threads(1)
-    # pool workers are daemonic and cannot fork oracle workers of their
-    # own; with several units in flight the unit pool already owns the
-    # machine, so each worker runs its oracle sequentially
-    if spec.oracle_processes > 1:
-        spec = replace(spec, oracle_processes=1)
     _WORKER["kind"] = KINDS[kind_name]
     _WORKER["spec"] = spec
     _WORKER["resources"] = build_resources(
@@ -233,11 +219,6 @@ class CellScheduler:
         if not ordered:
             return {}
         if self.processes <= 1:
-            return self._run_sequential(ordered, on_complete)
-        if len(ordered) == 1 and self.spec.oracle_processes > 1:
-            # a single straggling unit gains nothing from a one-slot unit
-            # pool; dedicate the machine to the oracle's level-parallel
-            # pool instead (the sequential path honours oracle_processes)
             return self._run_sequential(ordered, on_complete)
         return self._run_pooled(ordered, on_complete)
 

@@ -1,12 +1,11 @@
 """Thread-count pinning for multiprocessing fan-out.
 
-The sweep scheduler and the oracle's level-parallel executor already
-fan out one python process per core; letting each worker's BLAS/OpenMP
-runtime spin up its own thread pool on top oversubscribes the machine
-(P workers × T BLAS threads), which slows the numpy kernels down
-instead of speeding them up.  Pool worker initializers call
-:func:`pin_math_threads` to cap the native pools at one thread per
-worker.
+The sweep scheduler already fans out one python process per core;
+letting each worker's BLAS/OpenMP runtime spin up its own thread pool
+on top oversubscribes the machine (P workers × T BLAS threads), which
+slows the numpy kernels down instead of speeding them up.  The pool
+worker initializer calls :func:`pin_math_threads` to cap the native
+pools at one thread per worker.
 """
 
 from __future__ import annotations

@@ -114,10 +114,9 @@ class ReferenceTrueCardinalities(TrueCardinalities):
         state.unfiltered_counts[key] = joined.n_rows
         return joined.n_rows
 
-    def compute_all(self, query, max_size=None, processes=1,
-                    warm_unfiltered=False):
-        """Sequential level walk; ``processes`` and ``warm_unfiltered``
-        are execution policy and ignored here."""
+    def compute_all(self, query, max_size=None, warm_unfiltered=False):
+        """Sequential level walk; ``warm_unfiltered`` is execution policy
+        and ignored here."""
         state = self._state(query)
         if state.covered(max_size):
             return dict(state.counts)

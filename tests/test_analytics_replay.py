@@ -417,6 +417,41 @@ class TestReportCli:
         assert "replayed 10 cells, priced 0" in warm.err
         assert "databases generated: 0" in warm.err
 
+    FIG6 = ["report", "fig6", "--scale", "tiny", "--queries", "1a,4a"]
+
+    def test_report_truth_cache_alone_is_the_result_store(
+        self, tmp_path, capsys
+    ):
+        """Like sweep, report stores priced rows under --truth-cache when
+        no --result-cache is given, so the second run replays them."""
+        from repro.cli import main
+        from repro.pipeline.driver import clear_grid_caches
+
+        clear_grid_caches()
+        args = self.FIG6 + ["--truth-cache", str(tmp_path)]
+        assert main(args) == 0
+        cold = capsys.readouterr()
+        assert main(args) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert warm.err.splitlines()[-1] == (
+            "replayed 10 cells, priced 0; databases generated: 0"
+        )
+
+    def test_pooled_cold_report_counts_the_one_generation(
+        self, tmp_path, capsys
+    ):
+        """Pool workers attach the master's database and generate none,
+        so the master's count is the whole count."""
+        from repro.cli import main
+        from repro.pipeline.driver import clear_grid_caches
+
+        clear_grid_caches()
+        assert main(self.FIG6 + ["--processes", "2"]) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "replayed 0 cells, priced 10; databases generated: 1"
+        )
+
     def test_report_summary_folds_store(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -427,6 +462,15 @@ class TestReportCli:
         out = capsys.readouterr().out
         assert "Sweep aggregate (exact): 12 rows over 3 queries" in out
         assert "PostgreSQL" in out and "HyPer" in out
+
+    def test_report_summary_defaults_to_truth_cache(self, tmp_path, capsys):
+        from repro.cli import main
+
+        run_sweep(SPEC, truth_root=tmp_path, result_root=tmp_path)
+        assert main(["report", "summary", "--scale", "tiny",
+                     "--truth-cache", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "Sweep aggregate (exact): 12 rows over 3 queries" in out
 
     def test_report_unknown_artifact_rejected(self, capsys):
         from repro.cli import main

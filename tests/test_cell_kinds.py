@@ -96,7 +96,6 @@ class TestSpecSerialisation:
                 correlation=0.5,
                 query_names=None,
                 dataset="tpch",
-                oracle_processes=2,
                 configs=(
                     EnumeratorConfig(
                         "pk", indexes=IndexConfig.PK, allow_nlj=True
@@ -121,6 +120,13 @@ class TestSpecSerialisation:
         assert spec_digest(SWEEP_KIND, changed) != spec_digest(
             SWEEP_KIND, SPEC
         )
+
+    @pytest.mark.parametrize("spec_cls", [SweepSpec, DeepSpec])
+    def test_oracle_processes_is_not_a_field(self, spec_cls):
+        """The truth oracle has one mode: no spec can ask for another."""
+        assert spec_cls().oracle_processes == 1
+        with pytest.raises(TypeError):
+            spec_cls(oracle_processes=2)
 
     def test_unit_digest_content_keyed(self):
         units = SWEEP_KIND.decompose(SPEC)

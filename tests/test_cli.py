@@ -58,3 +58,12 @@ def test_export_sql(tmp_path, capsys):
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_oracle_processes_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--oracle-processes", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --oracle-processes" in (
+        capsys.readouterr().err
+    )

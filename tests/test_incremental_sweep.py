@@ -500,61 +500,5 @@ class TestConcurrentWriterTorture:
         assert truth.load("1a").counts == {n: n + 1 for n in range(total)}
 
 
-class TestParallelOracleRoundTrip:
-    """The level-parallel oracle must be invisible on disk: stores written
-    through it are byte-identical to sequentially written ones, and
-    preloading from either store round-trips exactly."""
-
-    ORACLE_SPEC = SweepSpec(
-        scale="tiny",
-        seed=42,
-        query_names=("1a", "4a", "6a"),
-        estimators=("PostgreSQL", "HyPer"),
-        oracle_processes=2,
-    )
-
-    @staticmethod
-    def _truth_bytes(root):
-        store = TruthStore(root, "tiny", 42)
-        return {
-            name: store.path(name).read_bytes()
-            for name in store.known_queries()
-        }
-
-    def test_store_written_by_parallel_oracle_is_byte_identical(
-        self, tmp_path
-    ):
-        seq_root = tmp_path / "seq"
-        par_root = tmp_path / "par"
-        sequential = run_sweep(SPEC, truth_root=seq_root)
-        parallel = run_sweep(self.ORACLE_SPEC, truth_root=par_root)
-        assert parallel.rows == sequential.rows
-        seq_bytes = self._truth_bytes(seq_root)
-        par_bytes = self._truth_bytes(par_root)
-        assert list(seq_bytes) == ["1a", "4a", "6a"]
-        assert par_bytes == seq_bytes
-
-    def test_preload_round_trips_through_parallel_oracle(self, tmp_path):
-        """A warm run preloading a parallel-written store must replay the
-        counts (the store file stays byte-for-byte untouched) and price
-        identical rows — in both oracle modes."""
-        run_sweep(self.ORACLE_SPEC, truth_root=tmp_path)
-        before = self._truth_bytes(tmp_path)
-        warm_parallel = run_sweep(self.ORACLE_SPEC, truth_root=tmp_path)
-        warm_sequential = run_sweep(SPEC, truth_root=tmp_path)
-        assert self._truth_bytes(tmp_path) == before
-        assert warm_parallel.rows == warm_sequential.rows
-        assert warm_sequential.rows == run_sweep(SPEC).rows
-
-    def test_oracle_processes_not_part_of_cell_identity(self, tmp_path):
-        """Flipping oracle_processes is execution policy: a result store
-        written sequentially must fully serve the parallel-oracle spec."""
-        run_sweep(SPEC, truth_root=tmp_path, result_root=tmp_path)
-        replay = run_sweep(
-            self.ORACLE_SPEC, truth_root=tmp_path, result_root=tmp_path
-        )
-        assert replay.priced_cells == 0 and replay.cached_cells == 12
-
-
 if __name__ == "__main__":  # pragma: no cover
     pytest.main([__file__, "-v"])

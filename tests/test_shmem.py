@@ -210,8 +210,7 @@ class TestPooledZeroRedundancy:
         clear_grid_caches()
         _, pooled = self._run(spec)
         clear_grid_caches()
-        sequential_sched, sequential = self._run(spec, processes=1)
-        sequential_sched.resources.truth.close()
+        _, sequential = self._run(spec, processes=1)
         # attached workers price exactly what a fresh build prices
         assert pooled == sequential
         clear_grid_caches()

@@ -61,7 +61,6 @@ class TestDifferentialStores:
         ref = run_sweep(
             spec, resources=resources, result_root=ref_root / "results"
         )
-        resources.truth.close()
         ref_state = _stored_state(
             ref_root / "results", ref_root / "truth", spec
         )
@@ -135,7 +134,6 @@ class TestWorkspaceLru:
             assert len(res._workspaces) <= 2
         # most-recently-used survive
         assert set(res._workspaces) == {"4a", "6a"}
-        res.truth.close()
 
     def test_eviction_does_not_change_rows(self, monkeypatch):
         spec = SweepSpec(
@@ -148,6 +146,14 @@ class TestWorkspaceLru:
         tight = run_sweep(spec)
         assert _row_reprs(tight) == _row_reprs(unbounded)
 
+    def test_compute_truth_is_sequential_only(self):
+        spec = SweepSpec(scale="tiny", seed=42, query_names=("3a",))
+        res = build_resources(spec)
+        ws = res.workspace(res.query("3a"))
+        with pytest.raises(ValueError, match="sequential"):
+            ws.compute_truth(processes=2)
+        assert ws.compute_truth(processes=1)
+
     def test_adopt_queries_merges_by_name(self):
         from repro.pipeline.tasks import spec_queries
 
@@ -158,7 +164,6 @@ class TestWorkspaceLru:
         res.adopt_queries(spec_queries(spec_b))
         assert {q.name for q in res.queries} == {"3a", "6a"}
         assert res.query("3a") is original  # warm state kept
-        res.truth.close()
 
 
 class TestSideCacheBound:
@@ -193,7 +198,6 @@ class TestSideCacheBound:
         assert side is not None and len(side) > 0
         assert len(side) <= 8
         assert side.cap == 8
-        truth.close()
 
 
 class TestPhaseTimers:

@@ -3,21 +3,18 @@
 Each case builds a *randomized* small database (3–6 relations, seeded) —
 random row counts, random key domains with dangling references and NULLs,
 a random spanning-tree join graph with optional extra n:m edges, random
-base selections — and counts every connected subexpression four ways:
+base selections — and counts every connected subexpression three ways:
 
-1. the production oracle's sequential ``compute_all`` (the batched
-   kernel walk over the explicit plan),
-2. the level-parallel ``compute_all`` (subset sharding across a process
-   pool),
-3. the python reference oracle in ``tests/reference/truth.py`` (one
+1. the production oracle's ``compute_all`` (the batched kernel walk over
+   the explicit plan),
+2. the python reference oracle in ``tests/reference/truth.py`` (one
    equi-join per subset), and
-4. an independent brute force that enumerates connected subsets with its
+3. an independent brute force that enumerates connected subsets with its
    own adjacency walk and joins with dense numpy broadcasting.
 
 All of them must agree exactly — on the *set* of connected subsets and on
 every count.  Any divergence pins a bug in the plan construction, the
-expansion-parent machinery, key compression, NULL handling, or the
-parallel executor's merge.
+expansion-parent machinery, key compression or NULL handling.
 """
 
 from __future__ import annotations
@@ -197,41 +194,6 @@ def test_oracle_matches_brute_force(seed):
     assert oracle == brute
 
 
-@pytest.mark.parametrize("seed", CASE_SEEDS[:5])
-def test_level_parallel_bit_identical_to_sequential(seed):
-    db, query = _random_case(seed)
-    sequential = TrueCardinalities(db).compute_all(query)
-    parallel_oracle = TrueCardinalities(db)
-    try:
-        parallel = parallel_oracle.compute_all(query, processes=2)
-    finally:
-        parallel_oracle.close()
-    assert parallel == sequential
-
-
-def test_level_parallel_propagates_max_rows_guard():
-    """The safety valve fires across the process boundary too: a worker
-    exceeding ``max_rows`` surfaces as the same ``EstimationError`` the
-    sequential oracle raises."""
-    from repro.errors import EstimationError
-
-    db, query = _random_case(0)
-    counts = TrueCardinalities(db).compute_all(query)
-    # the guard fires on join outputs, so cap below the largest composite
-    from repro.util.bitset import popcount
-
-    largest_join = max(
-        n for s, n in counts.items() if popcount(s) > 1
-    )
-    assert largest_join > 1
-    oracle = TrueCardinalities(db, max_rows=largest_join - 1)
-    try:
-        with pytest.raises(EstimationError, match="max_rows"):
-            oracle.compute_all(query, processes=2)
-    finally:
-        oracle.close()
-
-
 class TestKernelBackendParity:
     """The kernel oracle must be bit-identical to the python reference.
 
@@ -323,16 +285,13 @@ class TestKernelBackendParity:
         assert len(set(messages.values())) == 1
 
 
-def test_level_parallel_capped_then_full_identical():
-    """A truncated parallel run followed by a full one must converge to
-    exactly the sequential full enumeration (no truncated cache reuse)."""
+def test_capped_then_full_identical():
+    """A truncated run followed by a full one on the same oracle must
+    converge to exactly a fresh full enumeration (no truncated cache
+    reuse)."""
     db, query = _random_case(3)
-    sequential = TrueCardinalities(db).compute_all(query)
+    fresh = TrueCardinalities(db).compute_all(query)
     oracle = TrueCardinalities(db)
-    try:
-        capped = oracle.compute_all(query, max_size=2, processes=2)
-        assert set(capped) < set(sequential)
-        full = oracle.compute_all(query, processes=2)
-    finally:
-        oracle.close()
-    assert full == sequential
+    capped = oracle.compute_all(query, max_size=2)
+    assert set(capped) < set(fresh)
+    assert oracle.compute_all(query) == fresh

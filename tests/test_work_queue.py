@@ -88,8 +88,9 @@ class TestEnqueue:
         order = [queue.claim("w").payload["query"] for _ in range(3)]
         assert order == ["13a", "1a", "6a"]
 
-    # 1: queues enqueued before spec files stopped naming a store engine
-    @pytest.mark.parametrize("version", [99, 1])
+    # 1: queues enqueued before spec files stopped naming a store engine;
+    # 2: before they stopped carrying an oracle process count
+    @pytest.mark.parametrize("version", [99, 1, 2])
     def test_version_mismatch_rejected(self, tmp_path, version):
         WorkQueue(tmp_path / "q")
         config = tmp_path / "q" / "queue.json"
