@@ -8,15 +8,15 @@
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import EXEC_QUERIES, run_once
 
 from repro.experiments import fig8, fig9, table2, table3
 from repro.physical import IndexConfig
 from repro.plans.shapes import TreeShape
 
 
-def test_bench_fig8_cost_models(suite_exec, benchmark):
-    result = run_once(benchmark, lambda: fig8.run(suite_exec))
+def test_bench_fig8_cost_models(deep_fold, benchmark):
+    result = run_once(benchmark, lambda: deep_fold(fig8, EXEC_QUERIES))
     print()
     print(result.render())
     for model in fig8.COST_MODELS:

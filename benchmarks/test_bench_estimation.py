@@ -23,10 +23,8 @@ def test_bench_table1(suite_full, benchmark):
         assert result.percentiles[name][50] < 3
 
 
-def test_bench_fig3(suite_full, benchmark):
-    result = run_once(
-        benchmark, lambda: fig3.run(suite_full, max_subexpr_size=6)
-    )
+def test_bench_fig3(deep_fold, benchmark):
+    result = run_once(benchmark, lambda: deep_fold(fig3))
     print()
     print(result.render())
     pg = result.percentiles["PostgreSQL"]
@@ -42,10 +40,8 @@ def test_bench_fig4(suite_full, benchmark):
     assert result.spread(fig4.TPCH_FIG4) < result.spread(fig4.JOB_FIG4)
 
 
-def test_bench_fig5(suite_full, benchmark):
-    result = run_once(
-        benchmark, lambda: fig5.run(suite_full, max_subexpr_size=6)
-    )
+def test_bench_fig5(deep_fold, benchmark):
+    result = run_once(benchmark, lambda: deep_fold(fig5))
     print()
     print(result.render())
     top = max(result.percentiles["default"])

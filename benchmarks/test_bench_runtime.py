@@ -7,22 +7,26 @@
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import EXEC_QUERIES, run_once
 
 from repro.experiments import fig6, fig7
 from repro.experiments.harness import ESTIMATOR_ORDER
 from repro.physical import IndexConfig
 
 
-def test_bench_section41_injection(suite_exec, benchmark):
-    result = run_once(benchmark, lambda: fig6.run_injection(suite_exec))
+def test_bench_section41_injection(deep_fold, benchmark):
+    result = run_once(
+        benchmark, lambda: deep_fold(fig6, EXEC_QUERIES).injection
+    )
     print()
     print(result.render())
     assert set(result.distributions) == set(ESTIMATOR_ORDER)
 
 
-def test_bench_fig6_engine_ablation(suite_exec, benchmark):
-    result = run_once(benchmark, lambda: fig6.run_engine_ablation(suite_exec))
+def test_bench_fig6_engine_ablation(deep_fold, benchmark):
+    result = run_once(
+        benchmark, lambda: deep_fold(fig6, EXEC_QUERIES).ablation
+    )
     print()
     print(result.render())
     default = result.distributions["default"]
@@ -31,8 +35,8 @@ def test_bench_fig6_engine_ablation(suite_exec, benchmark):
     assert rehash.timeouts == 0
 
 
-def test_bench_fig7_index_configs(suite_exec, benchmark):
-    result = run_once(benchmark, lambda: fig7.run(suite_exec))
+def test_bench_fig7_index_configs(deep_fold, benchmark):
+    result = run_once(benchmark, lambda: deep_fold(fig7, EXEC_QUERIES))
     print()
     print(result.render())
     pk = result.by_config[IndexConfig.PK]

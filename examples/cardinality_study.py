@@ -16,8 +16,9 @@ in one screen of output.
 Run:  python examples/cardinality_study.py
 """
 
-from repro.experiments import ExperimentSuite, fig3, table1
+from repro.experiments import ExperimentSuite, fig3, frame, table1
 from repro.experiments.harness import ESTIMATOR_ORDER
+from repro.pipeline import SweepSpec
 
 QUERIES = ["1a", "4a", "6a", "8a", "13d", "16d", "17a", "22d", "25c", "28c"]
 
@@ -31,7 +32,11 @@ def main() -> None:
     print(t1.render())
 
     print("\n== join estimates by join count (Figure 3 form) ==")
-    f3 = fig3.run(suite, max_subexpr_size=6)
+    run = frame.run_report(
+        "fig3-deep",
+        SweepSpec(scale="small", seed=42, query_names=tuple(QUERIES)),
+    )
+    f3 = fig3.from_deep_frames(run.frames)
     header = "estimator    " + "".join(
         f"{j}-join median".rjust(16) for j in range(6)
     )

@@ -32,7 +32,7 @@ def main() -> None:
         runtimes = []
         slowdowns = []
         for query in suite.queries:
-            card = suite.card("PostgreSQL", query)
+            card = suite.workspace(query).card("PostgreSQL")
             plan = runner.plan_for(query, card, config, scenario)
             ms, _ = runner.execute_ms(query, plan, config, scenario)
             optimal = runner.optimal_runtime(query, config, scenario)

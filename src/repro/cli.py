@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable
+from functools import cached_property
 
 from repro.experiments import ExperimentSuite
 
@@ -30,6 +31,37 @@ from repro.experiments import ExperimentSuite
 def _suite(args: argparse.Namespace) -> ExperimentSuite:
     names = args.queries.split(",") if args.queries else None
     return ExperimentSuite(scale=args.scale, seed=args.seed, query_names=names)
+
+
+def _query_names(queries: str | None, dataset: str = "imdb"):
+    """Validate a ``--queries`` list against the dataset's workload.
+
+    One check for every verb that takes ``--queries``: unknown and
+    repeated names are both rejected.  Returns ``(names, 0)`` — ``names``
+    is None when no list was given, meaning the whole workload — or
+    ``(None, 2)`` with the complaint already printed.
+    """
+    if not queries:
+        return None, 0
+    from repro.pipeline import workload_queries
+
+    names = queries.split(",")
+    known = {q.name for q in workload_queries(dataset)}
+    bad = [n for n in names if n not in known]
+    if bad:
+        print(
+            f"unknown query name(s): {', '.join(bad)} (see `repro list`)",
+            file=sys.stderr,
+        )
+        return None, 2
+    repeated = list(dict.fromkeys(n for n in names if names.count(n) > 1))
+    if repeated:
+        print(
+            f"repeated query name(s): {', '.join(repeated)}",
+            file=sys.stderr,
+        )
+        return None, 2
+    return tuple(names), 0
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -65,7 +97,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     design = suite.design(IndexConfig[args.indexes])
     dp = DPEnumerator(SimpleCostModel(suite.db), design, allow_nlj=False)
     est = suite.estimators["PostgreSQL"].bind(query)
-    plan, cost = dp.optimize(suite.context(query), est)
+    plan, cost = dp.optimize(suite.workspace(query).context, est)
     truth = suite.truth.bind(query)
     print(f"-- {query.name}: optimized with PostgreSQL-style estimates "
           f"(cost {cost:.1f})")
@@ -90,35 +122,73 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-_EXPERIMENTS: dict[str, Callable] = {}
+class _RunInputs:
+    """What `repro run` experiments read, each built on first use.
+
+    The deep paper figures render a registered ``-deep`` artifact priced
+    in memory (no store); the rest run live against an
+    :class:`ExperimentSuite`.  ``section4.1`` and ``fig6`` are the two
+    halves of one artifact, so the last one is kept for the next name.
+    """
+
+    def __init__(self, scale: str, seed: int, query_names) -> None:
+        from repro.pipeline.grid import SweepSpec
+
+        self.base = SweepSpec(scale=scale, seed=seed, query_names=query_names)
+        self._last_report = None
+
+    @cached_property
+    def suite(self) -> ExperimentSuite:
+        names = self.base.query_names
+        return ExperimentSuite(
+            scale=self.base.scale,
+            seed=self.base.seed,
+            query_names=list(names) if names else None,
+        )
+
+    def report(self, name: str):
+        from repro.experiments import frame
+
+        if self._last_report is None or self._last_report.name != name:
+            self._last_report = frame.run_report(name, self.base)
+        return self._last_report
+
+
+#: experiment name -> its rendered text, given the run's inputs
+_EXPERIMENTS: dict[str, Callable[[_RunInputs], str]] = {}
 
 
 def _register_experiments() -> None:
     from repro.experiments import (
-        ablation, fig3, fig4, fig5, fig6, fig7, fig8, fig9,
-        table1, table2, table3,
+        ablation, fig4, fig6, fig9, table1, table2, table3,
     )
+
+    def live(run):
+        return lambda inputs: run(inputs.suite).render()
+
+    def fig6_half(half):
+        return lambda inputs: getattr(
+            fig6.from_deep_frames(inputs.report("fig6-deep").frames), half
+        ).render()
 
     _EXPERIMENTS.update(
         {
-            "table1": lambda s: table1.run(s),
-            "fig3": lambda s: fig3.run(s, max_subexpr_size=6),
-            "fig4": lambda s: fig4.run(s),
-            "fig5": lambda s: fig5.run(s, max_subexpr_size=6),
-            "section4.1": lambda s: fig6.run_injection(s),
-            "fig6": lambda s: fig6.run_engine_ablation(s),
-            "fig7": lambda s: fig7.run(s),
-            "fig8": lambda s: fig8.run(s),
-            "fig9": lambda s: fig9.run(s),
-            "table2": lambda s: table2.run(s),
-            "table3": lambda s: table3.run(s),
-            "ablation.cmm": lambda s: ablation.cmm_parameter_sweep(s),
-            "ablation.quickpick": lambda s: ablation.quickpick_sample_sweep(s),
-            "ablation.error": lambda s: ablation.error_scaling(s),
-            "ablation.hedging": lambda s: ablation.hedging(s),
-            "ablation.join-sampling": (
-                lambda s: ablation.join_sampling_comparison(s)
-            ),
+            "table1": live(table1.run),
+            "fig3": lambda inputs: inputs.report("fig3-deep").text,
+            "fig4": live(fig4.run),
+            "fig5": lambda inputs: inputs.report("fig5-deep").text,
+            "section4.1": fig6_half("injection"),
+            "fig6": fig6_half("ablation"),
+            "fig7": lambda inputs: inputs.report("fig7-deep").text,
+            "fig8": lambda inputs: inputs.report("fig8-deep").text,
+            "fig9": live(fig9.run),
+            "table2": live(table2.run),
+            "table3": live(table3.run),
+            "ablation.cmm": live(ablation.cmm_parameter_sweep),
+            "ablation.quickpick": live(ablation.quickpick_sample_sweep),
+            "ablation.error": live(ablation.error_scaling),
+            "ablation.hedging": live(ablation.hedging),
+            "ablation.join-sampling": live(ablation.join_sampling_comparison),
         }
     )
 
@@ -136,10 +206,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    suite = _suite(args)
+    query_names, code = _query_names(args.queries)
+    if code:
+        return code
+    inputs = _RunInputs(args.scale, args.seed, query_names)
     for name in names:
-        result = _EXPERIMENTS[name](suite)
-        print(result.render())
+        print(_EXPERIMENTS[name](inputs))
         print()
     return 0
 
@@ -152,12 +224,7 @@ def _build_sweep_spec(args: argparse.Namespace):
     code)`` with the complaint already printed.
     """
     from repro.physical import IndexConfig
-    from repro.pipeline import (
-        EnumeratorConfig,
-        SweepSpec,
-        check_dataset,
-        workload_queries,
-    )
+    from repro.pipeline import EnumeratorConfig, SweepSpec, check_dataset
     from repro.pipeline.resources import ESTIMATOR_ORDER
 
     try:
@@ -165,16 +232,9 @@ def _build_sweep_spec(args: argparse.Namespace):
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return None, 2
-    if args.queries:
-        known = {q.name for q in workload_queries(args.dataset)}
-        bad = [n for n in args.queries.split(",") if n not in known]
-        if bad:
-            print(
-                f"unknown query name(s): {', '.join(bad)} "
-                "(see `repro list`)",
-                file=sys.stderr,
-            )
-            return None, 2
+    query_names, code = _query_names(args.queries, args.dataset)
+    if code:
+        return None, code
 
     if args.estimators:
         estimators = tuple(args.estimators.split(","))
@@ -204,9 +264,7 @@ def _build_sweep_spec(args: argparse.Namespace):
     spec = SweepSpec(
         scale=args.scale,
         seed=args.seed,
-        query_names=(
-            tuple(args.queries.split(",")) if args.queries else None
-        ),
+        query_names=query_names,
         estimators=estimators,
         configs=configs,
         dataset=args.dataset,
@@ -274,6 +332,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    query_names, code = _query_names(args.queries, args.dataset)
+    if code:
+        return code
 
     artifacts = list(args.artifact)
     run_summary = "summary" in artifacts
@@ -306,9 +367,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     base = SweepSpec(
         scale=args.scale,
         seed=args.seed,
-        query_names=(
-            tuple(args.queries.split(",")) if args.queries else None
-        ),
+        query_names=query_names,
         dataset=args.dataset,
     )
     truth_root = args.truth_cache or args.result_cache

@@ -17,13 +17,19 @@ Module       Reproduces
 ``ablation`` beyond-paper sensitivity studies
 ===========  ==========================================================
 
-Every module has two entry points: the paper-faithful deep path
-(``run(suite)``, subexpression-level measurements and simulated
-execution against an :class:`ExperimentSuite`) and a **replay path**
-(``report_specs`` + ``from_frames``) that folds the same finding from
-sweep rows — rendered by ``repro report`` straight from a warm
-:class:`~repro.pipeline.results.ResultStore` with zero database
-generation (see :mod:`repro.experiments.frame`).
+Every module has a **replay path** (``report_specs`` + ``from_frames``)
+that folds its finding from sweep rows — rendered by ``repro report``
+straight from a warm :class:`~repro.pipeline.results.ResultStore` with
+zero database generation (see :mod:`repro.experiments.frame`).  The
+paper-faithful measurements have one body each:
+
+* Figures 3, 5, 6 (with the Section 4.1 table), 7 and 8 are the **deep
+  fold** (``deep_report_specs`` + ``from_deep_frames``) over stored
+  subexpression and simulated-runtime rows; ``repro run fig3`` prints
+  exactly ``repro report fig3-deep``, priced in memory.
+* ``table1``, ``fig4``, ``fig9``, ``table2``, ``table3`` and the
+  ablations measure live against an :class:`ExperimentSuite`
+  (``run(suite)``).
 """
 
 from repro.experiments.harness import ExperimentSuite

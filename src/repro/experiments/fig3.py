@@ -19,9 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.cardinality.qerror import signed_ratio
-from repro.experiments.harness import ESTIMATOR_ORDER, ExperimentSuite
+from repro.experiments.harness import ESTIMATOR_ORDER
 from repro.experiments.report import format_table
-from repro.query.subgraphs import connected_subsets
 from repro.util.bitset import popcount
 
 PERCENTILES = (5, 25, 50, 75, 95)
@@ -61,45 +60,6 @@ class Fig3Result:
         return "\n\n".join(blocks)
 
 
-def run(suite: ExperimentSuite, max_subexpr_size: int = 7) -> Fig3Result:
-    """Compute error distributions over all subexpressions of the suite."""
-    ratios: dict[str, dict[int, list[float]]] = {
-        name: {} for name in ESTIMATOR_ORDER
-    }
-    for query in suite.queries:
-        ws = suite.workspace(query)
-        ws.compute_truth(max_size=max_subexpr_size)
-        true_card = ws.true_card
-        subsets = connected_subsets(ws.graph, max_size=max_subexpr_size)
-        cards = {name: ws.card(name) for name in ESTIMATOR_ORDER}
-        for subset in subsets:
-            joins = popcount(subset) - 1
-            true_rows = true_card(subset)
-            for name, card in cards.items():
-                ratio = signed_ratio(card(subset), true_rows)
-                ratios[name].setdefault(joins, []).append(ratio)
-
-    percentiles: dict[str, dict[int, dict[float, float]]] = {}
-    wrong_10x: dict[str, dict[int, float]] = {}
-    for name, by_joins in ratios.items():
-        percentiles[name] = {}
-        wrong_10x[name] = {}
-        for joins, values in by_joins.items():
-            arr = np.asarray(values)
-            percentiles[name][joins] = {
-                p: float(np.percentile(arr, p)) for p in PERCENTILES
-            }
-            wrong_10x[name][joins] = float(
-                np.mean((arr >= 10) | (arr <= 0.1))
-            )
-    return Fig3Result(
-        max_joins=max_subexpr_size - 1,
-        ratios=ratios,
-        percentiles=percentiles,
-        wrong_10x=wrong_10x,
-    )
-
-
 # --------------------------------------------------------------------- #
 # replay path: the sweep-row-shaped Figure 3
 # --------------------------------------------------------------------- #
@@ -125,10 +85,10 @@ def report_specs(base):
 class Fig3ReplayResult:
     """Full-query q-errors grouped by each query's join count.
 
-    The deep path (:func:`run`) measures every *subexpression*; the
-    replay path reads the same growth-with-join-count story off the
-    sweep grid, where each query contributes its full-query q-error at
-    its own join count.
+    The deep fold (:func:`from_deep_frames`) measures every
+    *subexpression*; the replay path reads the same
+    growth-with-join-count story off the sweep grid, where each query
+    contributes its full-query q-error at its own join count.
     """
 
     #: q_errors[estimator][n_joins] = q-errors of the queries that size
@@ -182,8 +142,8 @@ def from_frames(frames) -> Fig3ReplayResult:
 # deep replay path: the paper-faithful Figure 3 from stored DeepRows
 # --------------------------------------------------------------------- #
 
-#: subexpression-size cap of the deep replay artifact (matches the
-#: `repro run fig3` CLI default)
+#: subexpression-size cap of the deep artifact (what `repro run fig3`
+#: renders)
 DEEP_MAX_SUBEXPR_SIZE = 6
 
 
@@ -204,13 +164,12 @@ def deep_report_specs(base):
 def from_deep_frames(frames) -> Fig3Result:
     """Fold stored subexpression observations into the *deep* Figure 3.
 
-    This is the same measurement :func:`run` performs — signed
-    estimate/truth ratios of every connected subexpression, summarised
-    per join count — folded from persisted
-    :class:`~repro.pipeline.grid.DeepRow`\\ s instead of a live suite.
-    Because stored floats round-trip bit-exactly and rows replay in the
-    pricing order (query → subexpression size → bitset), the rendered
-    result is byte-identical to :func:`run` on the same grid.
+    Signed estimate/truth ratios of every connected subexpression,
+    summarised per join count, folded from persisted
+    :class:`~repro.pipeline.grid.DeepRow`\\ s.  Because stored floats
+    round-trip bit-exactly and rows replay in the pricing order (query →
+    subexpression size → bitset), the rendered result is the same
+    whether the rows were just priced or replayed from a store.
     """
     frame = frames[0]
     ratios: dict[str, dict[int, list[float]]] = {

@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cardinality import PostgresEstimator
 from repro.cardinality.qerror import signed_ratio
-from repro.experiments.harness import ExperimentSuite
 from repro.experiments.report import format_table
-from repro.query.subgraphs import connected_subsets
 from repro.util.bitset import popcount
 
 PERCENTILES = (5, 25, 50, 75, 95)
@@ -56,41 +53,6 @@ class Fig5Result:
     def spread_at(self, variant: str, joins: int) -> float:
         pct = self.percentiles[variant][joins]
         return float(np.log10(max(pct[95], 1e-12) / max(pct[5], 1e-12)))
-
-
-def run(suite: ExperimentSuite, max_subexpr_size: int = 7) -> Fig5Result:
-    default_est = PostgresEstimator(suite.db, use_true_distincts=False)
-    exact_est = PostgresEstimator(suite.db, use_true_distincts=True)
-    ratios: dict[str, dict[int, list[float]]] = {
-        "default": {},
-        "true-distinct": {},
-    }
-    for query in suite.queries:
-        ws = suite.workspace(query)
-        ws.compute_truth(max_size=max_subexpr_size)
-        true_card = ws.true_card
-        d_card = default_est.bind(query)
-        e_card = exact_est.bind(query)
-        for subset in connected_subsets(ws.graph, max_size=max_subexpr_size):
-            joins = popcount(subset) - 1
-            true_rows = true_card(subset)
-            ratios["default"].setdefault(joins, []).append(
-                signed_ratio(d_card(subset), true_rows)
-            )
-            ratios["true-distinct"].setdefault(joins, []).append(
-                signed_ratio(e_card(subset), true_rows)
-            )
-    percentiles = {
-        variant: {
-            joins: {
-                p: float(np.percentile(np.asarray(vals), p))
-                for p in PERCENTILES
-            }
-            for joins, vals in by_joins.items()
-        }
-        for variant, by_joins in ratios.items()
-    }
-    return Fig5Result(ratios=ratios, percentiles=percentiles)
 
 
 # --------------------------------------------------------------------- #
@@ -198,9 +160,8 @@ def deep_report_specs(base):
 def from_deep_frames(frames) -> Fig5Result:
     """Fold stored subexpression observations into the *deep* Figure 5.
 
-    Same measurement as :func:`run` — per-subexpression signed ratios
-    under default vs true distinct counts — folded from persisted rows;
-    byte-identical to :func:`run` on the same grid.
+    Per-subexpression signed ratios under default vs true distinct
+    counts, folded from persisted rows.
     """
     frame = frames[0]
     ratios: dict[str, dict[int, list[float]]] = {

@@ -1,13 +1,14 @@
 """Figure 6 and the Section 4.1 injection table.
 
-Two experiments on the primary-key-only physical design:
+Two experiments on the primary-key-only physical design, the two halves
+of :func:`from_deep_frames`:
 
-* :func:`run_injection` — inject each system's estimates into the planner
-  and bucket the runtime slowdowns vs the true-cardinality plan (the
-  table in Section 4.1, columns ``<0.9`` … ``>100``).
-* :func:`run_engine_ablation` — PostgreSQL estimates only, across the
-  three engine scenarios: (a) default, (b) no nested-loop joins,
-  (c) plus runtime hash-table rehashing (Figure 6a–c).
+* ``injection`` — inject each system's estimates into the planner and
+  bucket the runtime slowdowns vs the true-cardinality plan (the table
+  in Section 4.1, columns ``<0.9`` … ``>100``; ``repro run section4.1``).
+* ``ablation`` — PostgreSQL estimates only, across the three engine
+  scenarios: (a) default, (b) no nested-loop joins, (c) plus runtime
+  hash-table rehashing (Figure 6a–c; ``repro run fig6``).
 
 Expected shape: (a) suffers timeouts / >100× cases caused by nested-loop
 joins picked on underestimates; (b) removes the timeouts; (c) leaves only
@@ -18,13 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.harness import ESTIMATOR_ORDER, ExperimentSuite
+from repro.experiments.harness import ESTIMATOR_ORDER
 from repro.experiments.report import (
     SLOWDOWN_BUCKETS,
     bucketize_slowdowns,
     format_table,
 )
-from repro.experiments.runtime import SCENARIOS, RuntimeRunner
 from repro.physical import IndexConfig
 
 _BUCKET_LABELS = [label for _, _, label in SLOWDOWN_BUCKETS]
@@ -67,65 +67,6 @@ class Fig6Result:
         )
 
 
-def run_injection(
-    suite: ExperimentSuite,
-    config: IndexConfig = IndexConfig.PK,
-    scenario_name: str = "default",
-    work_budget: float | None = None,
-) -> Fig6Result:
-    """The Section 4.1 table: per-estimator slowdown distributions."""
-    runner = RuntimeRunner(suite, work_budget=work_budget)
-    scenario = SCENARIOS[scenario_name]
-    distributions: dict[str, SlowdownDistribution] = {}
-    for name in ESTIMATOR_ORDER:
-        slowdowns: list[float] = []
-        timeouts = 0
-        for query in suite.queries:
-            ratio, timed_out = runner.slowdown(
-                query, suite.workspace(query).card(name), config, scenario
-            )
-            slowdowns.append(ratio)
-            timeouts += int(timed_out)
-        distributions[name] = SlowdownDistribution(name, slowdowns, timeouts)
-    return Fig6Result(
-        distributions=distributions,
-        title=(
-            f"Section 4.1: slowdown vs true-cardinality plan "
-            f"({config.value}, engine={scenario.name})"
-        ),
-    )
-
-
-def run_engine_ablation(
-    suite: ExperimentSuite,
-    config: IndexConfig = IndexConfig.PK,
-    estimator: str = "PostgreSQL",
-    work_budget: float | None = None,
-) -> Fig6Result:
-    """Figure 6a–c: one estimator across the three engine scenarios."""
-    runner = RuntimeRunner(suite, work_budget=work_budget)
-    distributions: dict[str, SlowdownDistribution] = {}
-    for scenario in SCENARIOS.values():
-        slowdowns: list[float] = []
-        timeouts = 0
-        for query in suite.queries:
-            ratio, timed_out = runner.slowdown(
-                query, suite.workspace(query).card(estimator), config, scenario
-            )
-            slowdowns.append(ratio)
-            timeouts += int(timed_out)
-        distributions[scenario.name] = SlowdownDistribution(
-            scenario.name, slowdowns, timeouts
-        )
-    return Fig6Result(
-        distributions=distributions,
-        title=(
-            f"Figure 6: {estimator} estimates, {config.value}, "
-            "engine risk ablation"
-        ),
-    )
-
-
 # --------------------------------------------------------------------- #
 # replay path: the Section 4.1 table from sweep rows
 # --------------------------------------------------------------------- #
@@ -149,7 +90,7 @@ def report_specs(base):
 def from_frames(frames) -> Fig6Result:
     """Per-estimator plan-cost slowdown buckets, straight off the grid.
 
-    The deep path (:func:`run_injection`) simulates execution with
+    The deep fold (:func:`from_deep_frames`) simulates execution with
     engine-risk scenarios; the replay path buckets the sweep's
     standalone-optimizer slowdowns (``true_cost / optimal_cost``) — the
     same injected-estimate mechanism, measured in cost space.
@@ -248,11 +189,9 @@ class Fig6DeepResult:
 def from_deep_frames(frames) -> Fig6DeepResult:
     """Fold stored simulated runtimes into the deep Figure 6 artifacts.
 
-    The injection half is :func:`run_injection` (per-estimator slowdown
-    buckets, default engine) and the ablation half is
-    :func:`run_engine_ablation` (PostgreSQL across the three engine
-    scenarios) — both byte-identical to their live counterparts on the
-    same grid, replayed from persisted rows.
+    The injection half holds per-estimator slowdown buckets on the
+    default engine (the Section 4.1 table) and the ablation half holds
+    PostgreSQL across the three engine scenarios (Figure 6a–c).
     """
     from repro.experiments.runtime import SCENARIOS, runtime_deep_config
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.fig6 import Fig6Result, SlowdownDistribution
-from repro.experiments.harness import ExperimentSuite
-from repro.experiments.runtime import SCENARIOS, RuntimeRunner
 from repro.physical import IndexConfig
 
 
@@ -37,36 +35,6 @@ class Fig7Result:
             for cfg, ms in self.median_runtime_ms.items()
         )
         return inner.render() + "\n" + extra
-
-
-def run(
-    suite: ExperimentSuite,
-    estimator: str = "PostgreSQL",
-    configs: tuple[IndexConfig, ...] = (IndexConfig.PK, IndexConfig.PK_FK),
-    work_budget: float | None = None,
-) -> Fig7Result:
-    runner = RuntimeRunner(suite, work_budget=work_budget)
-    scenario = SCENARIOS["no-nlj+rehash"]
-    by_config: dict[IndexConfig, SlowdownDistribution] = {}
-    median_runtime: dict[IndexConfig, float] = {}
-    for config in configs:
-        slowdowns: list[float] = []
-        runtimes: list[float] = []
-        timeouts = 0
-        for query in suite.queries:
-            card = suite.workspace(query).card(estimator)
-            plan = runner.plan_for(query, card, config, scenario)
-            ms, timed_out = runner.execute_ms(query, plan, config, scenario)
-            optimal = runner.optimal_runtime(query, config, scenario)
-            slowdowns.append(ms / max(optimal, 1e-9))
-            runtimes.append(ms)
-            timeouts += int(timed_out)
-        by_config[config] = SlowdownDistribution(
-            config.value, slowdowns, timeouts
-        )
-        runtimes.sort()
-        median_runtime[config] = runtimes[len(runtimes) // 2]
-    return Fig7Result(by_config=by_config, median_runtime_ms=median_runtime)
 
 
 # --------------------------------------------------------------------- #
@@ -167,9 +135,8 @@ def deep_report_specs(base):
 def from_deep_frames(frames) -> Fig7Result:
     """Fold stored simulated runtimes into the deep Figure 7.
 
-    Byte-identical to :func:`run` on the same grid: per-design slowdowns
-    vs the true-cardinality plan, plus the median absolute runtime each
-    design achieves.
+    Per-design slowdowns vs the true-cardinality plan, plus the median
+    absolute runtime each design achieves.
     """
     from repro.experiments.fig6 import deep_slowdowns
 

@@ -25,15 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cost import (
-    PostgresCostModel,
-    SimpleCostModel,
-    TunedPostgresCostModel,
-)
-from repro.enumeration.dp import DPEnumerator
-from repro.experiments.harness import ExperimentSuite
 from repro.experiments.report import format_table
-from repro.experiments.runtime import SCENARIOS, RuntimeRunner
 from repro.physical import IndexConfig
 from repro.util.stats import geometric_mean
 
@@ -98,57 +90,6 @@ class Fig8Result:
             for name, ratio in self.runtime_vs_standard.items()
         )
         return table + "\n" + extra
-
-
-def _make_cost_model(name: str, db):
-    if name == "standard":
-        return PostgresCostModel(db)
-    if name == "tuned":
-        return TunedPostgresCostModel(db)
-    if name == "simple":
-        return SimpleCostModel(db)
-    raise ValueError(f"unknown cost model {name!r}")
-
-
-def run(
-    suite: ExperimentSuite,
-    config: IndexConfig = IndexConfig.PK_FK,
-    work_budget: float | None = None,
-) -> Fig8Result:
-    runner = RuntimeRunner(suite, work_budget=work_budget)
-    scenario = SCENARIOS["no-nlj+rehash"]
-    design = suite.design(config)
-    panels: dict[tuple[str, str], Panel] = {}
-    runtime_by_model: dict[str, list[float]] = {m: [] for m in COST_MODELS}
-
-    for model_name in COST_MODELS:
-        cost_model = _make_cost_model(model_name, suite.db)
-        dp = DPEnumerator(cost_model, design, allow_nlj=False)
-        for source in CARD_SOURCES:
-            panel = Panel(cost_model=model_name, card_source=source)
-            for query in suite.queries:
-                ws = suite.workspace(query)
-                card = (
-                    ws.true_card if source == "true"
-                    else ws.card("PostgreSQL")
-                )
-                plan, cost = dp.optimize(ws.context, card)
-                ms, _ = runner.execute_ms(query, plan, config, scenario)
-                panel.costs.append(cost)
-                panel.runtimes_ms.append(ms)
-                if source == "true":
-                    runtime_by_model[model_name].append(max(ms, 1e-9))
-            panel.fit()
-            panels[(model_name, source)] = panel
-
-    base = runtime_by_model["standard"]
-    runtime_vs_standard = {
-        name: geometric_mean(
-            [r / b for r, b in zip(values, base)]
-        )
-        for name, values in runtime_by_model.items()
-    }
-    return Fig8Result(panels=panels, runtime_vs_standard=runtime_vs_standard)
 
 
 # --------------------------------------------------------------------- #
@@ -262,12 +203,11 @@ def deep_report_specs(base):
 def from_deep_frames(frames) -> Fig8Result:
     """Fold stored simulated runtimes into the deep Figure 8.
 
-    Byte-identical to :func:`run` on the same grid: per panel the
-    model's believed cost (``plan_cost_est``) against the plan's
-    simulated runtime, with the log–log fit quality, plus Section 5.4's
-    geo-mean runtime of each model's true-cardinality plans relative to
-    the standard model's.  Panels with fewer than three points keep NaN
-    fit statistics (rendered as "-") instead of crashing.
+    Per panel the model's believed cost (``plan_cost_est``) against the
+    plan's simulated runtime, with the log–log fit quality, plus Section
+    5.4's geo-mean runtime of each model's true-cardinality plans
+    relative to the standard model's.  Panels with fewer than three
+    points keep NaN fit statistics (rendered as "-") instead of crashing.
     """
     frame = frames[0]
     configs = dict(zip(COST_MODELS, _deep_configs()))

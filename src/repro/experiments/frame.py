@@ -29,8 +29,8 @@ distributions (Figures 3/5) and injected-estimate simulated runtimes
 (Figures 6–8) — are replayable too: those modules also export
 ``deep_report_specs`` + ``from_deep_frames`` over a :class:`DeepFrame`
 of stored :class:`~repro.pipeline.grid.DeepRow`\\ s, registered as the
-``fig3-deep`` … ``fig8-deep`` artifacts and byte-identical to each
-module's live ``run(suite)`` entry point on the same grid.
+``fig3-deep`` … ``fig8-deep`` artifacts.  That fold is the figures' only
+production body: ``repro run fig3`` renders ``fig3-deep`` with no store.
 """
 
 from __future__ import annotations

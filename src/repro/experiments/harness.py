@@ -12,11 +12,8 @@ line-up in :mod:`repro.pipeline.resources`.
 
 from __future__ import annotations
 
-from repro.cardinality.base import BoundCard
-from repro.enumeration import QueryContext
 from repro.pipeline.resources import (
     ESTIMATOR_ORDER,
-    QueryWorkspace,
     WorkloadResources,
     standard_estimators,
 )
@@ -30,10 +27,9 @@ __all__ = ["ESTIMATOR_ORDER", "ExperimentSuite"]
 class ExperimentSuite(WorkloadResources):
     """One database + workload + estimators, with per-query workspaces.
 
-    The legacy accessors (:meth:`context`, :meth:`card`,
-    :meth:`true_card`) delegate to the query's
-    :class:`~repro.pipeline.resources.QueryWorkspace`, so experiments and
-    the sweep driver share one cache.
+    Per-query state (query context, bound cardinality functions, truth)
+    lives on :meth:`workspace`, so experiments and the sweep driver
+    share one cache.
     """
 
     def __init__(
@@ -64,27 +60,3 @@ class ExperimentSuite(WorkloadResources):
             estimators=standard_estimators(db),
             truth_store=truth_store,
         )
-
-    # ------------------------------------------------------------------ #
-    # workspace-delegating accessors
-    # ------------------------------------------------------------------ #
-
-    def context(self, query: Query) -> QueryContext:
-        return self.workspace(query).context
-
-    def card(self, estimator_name: str, query: Query) -> BoundCard:
-        """Bound (memoised) cardinality function of a named estimator."""
-        return self.workspace(query).card(estimator_name)
-
-    def true_card(self, query: Query) -> BoundCard:
-        return self.workspace(query).true_card
-
-    def compute_truth(
-        self, query: Query, max_size: int | None = None
-    ) -> dict[int, int]:
-        """Exact counts up to ``max_size`` (cached, store-aware)."""
-        return self.workspace(query).compute_truth(max_size=max_size)
-
-    def workspaces(self) -> list[QueryWorkspace]:
-        """One workspace per workload query, in workload order."""
-        return [self.workspace(q) for q in self.queries]

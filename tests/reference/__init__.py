@@ -1,9 +1,10 @@
 """Pure-python reference implementations of the kernel-backed loops.
 
-Production runs one path: the numpy kernels in :mod:`repro.kernels`.
-The loops they replaced live here, unchanged in semantics, as the
-differential oracle — they are the most direct statement of what each
-kernel must compute:
+Production runs one path: the numpy kernels in :mod:`repro.kernels`,
+and the deep fold for the deep paper figures.  The loops they replaced
+live here, unchanged in semantics, as the differential oracle — they
+are the most direct statement of what each kernel or fold must
+compute:
 
 * :mod:`reference.subgraphs` — recursive ``EnumerateCsg`` /
   ``EnumerateCmp``, per-pair ``edges_between`` and the bit-scan
@@ -16,6 +17,9 @@ kernel must compute:
 * :mod:`reference.topdown` — memoised top-down partitioning
   (``TopDownEnumerator``), the same plan space searched in another
   order.
+* :mod:`reference.experiments` — the live per-query loops of Figures
+  3, 5, 6 (with the Section 4.1 table), 7 and 8, which the stored-row
+  deep fold must render byte for byte.
 
 Nothing under ``src/`` imports this package
 (``tests/test_knobs.py`` enforces it).

@@ -172,7 +172,7 @@ class TestRuntimeRunner:
         scenario = SCENARIOS["no-nlj+rehash"]
         for q in suite.queries:
             ratio, timed_out = runner.slowdown(
-                q, suite.true_card(q), IndexConfig.PK, scenario
+                q, suite.workspace(q).true_card, IndexConfig.PK, scenario
             )
             assert ratio == pytest.approx(1.0)
             assert not timed_out
@@ -188,7 +188,7 @@ class TestRuntimeRunner:
         scenario = SCENARIOS["no-nlj+rehash"]
         q = suite.queries[0]
         plan = runner.plan_for(
-            q, suite.true_card(q), IndexConfig.PK, scenario
+            q, suite.workspace(q).true_card, IndexConfig.PK, scenario
         )
         ms, timed_out = runner.execute_ms(q, plan, IndexConfig.PK, scenario)
         assert timed_out

@@ -67,3 +67,36 @@ def test_oracle_processes_flag_rejected(capsys):
     assert "unrecognized arguments: --oracle-processes" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize(
+    "verb", [["run", "fig3"], ["report", "fig3-deep"], ["sweep"]],
+    ids=["run", "report", "sweep"],
+)
+class TestQueryList:
+    def test_unknown_names_rejected(self, verb, capsys):
+        assert main(verb + ["--queries", "1a,zz"]) == 2
+        assert "unknown query name(s): zz" in capsys.readouterr().err
+
+    def test_repeated_names_rejected(self, verb, capsys):
+        assert main(verb + ["--queries", "1a,4a,4a"]) == 2
+        assert "repeated query name(s): 4a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "report, experiments",
+    [
+        ("fig3-deep", ["fig3"]),
+        ("fig6-deep", ["section4.1", "fig6"]),
+        ("fig8-deep", ["fig8"]),
+    ],
+)
+def test_run_prints_the_deep_report(report, experiments, capsys):
+    """`repro run` of a deep figure is its `-deep` report, byte for byte
+    (Section 4.1 and Figure 6 are the two halves of ``fig6-deep``)."""
+    flags = ["--scale", "tiny", "--queries", "1a,4a"]
+    for name in experiments:
+        assert main(["run", name] + flags) == 0
+    ran = capsys.readouterr().out
+    assert main(["report", report] + flags) == 0
+    assert ran == capsys.readouterr().out

@@ -8,8 +8,9 @@ The acceptance bar of the deep replay layer:
   store or recomputed, and the warm path performs **zero database
   generation, zero shallow pricing, and zero deep pricing** (instrument
   counters);
-* the deep folds are byte-identical to the original live deep paths
-  (``fig3.run``, ``fig6.run_injection`` …) on the same grid;
+* the deep folds are byte-identical to the live reference loops
+  (``reference.experiments.run_fig3``, ``run_injection`` …) on the
+  same grid;
 * randomized :class:`DeepRow`\\ s survive the JSON store round trip
   bit-exactly, and mixed sweep/deep files route each kind correctly;
 * a pre-existing version-1 store replays all shallow artifacts unchanged
@@ -24,7 +25,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import ExperimentSuite, fig3, fig5, fig6, fig7, fig8
+from reference import experiments as reference
+from repro.experiments import ExperimentSuite, fig3, fig5
 from repro.experiments import frame as frame_mod
 from repro.pipeline import (
     DeepRow,
@@ -117,7 +119,7 @@ class TestDeepReportParity:
 
 class TestDeepMatchesLiveRun:
     """The deep folds ARE the paper-faithful measurements: byte-identical
-    to the live ``run()`` entry points on the same grid."""
+    to the live reference loops on the same grid."""
 
     @pytest.fixture(scope="class")
     def suite(self):
@@ -129,7 +131,7 @@ class TestDeepMatchesLiveRun:
         run = frame_mod.run_report(
             "fig3-deep", BASE, result_root=deep_root, truth_root=deep_root
         )
-        assert run.text == fig3.run(
+        assert run.text == reference.run_fig3(
             suite, max_subexpr_size=fig3.DEEP_MAX_SUBEXPR_SIZE
         ).render()
 
@@ -137,7 +139,7 @@ class TestDeepMatchesLiveRun:
         run = frame_mod.run_report(
             "fig5-deep", BASE, result_root=deep_root, truth_root=deep_root
         )
-        assert run.text == fig5.run(
+        assert run.text == reference.run_fig5(
             suite, max_subexpr_size=fig5.DEEP_MAX_SUBEXPR_SIZE
         ).render()
 
@@ -146,9 +148,9 @@ class TestDeepMatchesLiveRun:
             "fig6-deep", BASE, result_root=deep_root, truth_root=deep_root
         )
         expected = (
-            fig6.run_injection(suite).render()
+            reference.run_injection(suite).render()
             + "\n\n"
-            + fig6.run_engine_ablation(suite).render()
+            + reference.run_engine_ablation(suite).render()
         )
         assert run.text == expected
 
@@ -156,13 +158,13 @@ class TestDeepMatchesLiveRun:
         run = frame_mod.run_report(
             "fig7-deep", BASE, result_root=deep_root, truth_root=deep_root
         )
-        assert run.text == fig7.run(suite).render()
+        assert run.text == reference.run_fig7(suite).render()
 
     def test_fig8(self, deep_root, suite):
         run = frame_mod.run_report(
             "fig8-deep", BASE, result_root=deep_root, truth_root=deep_root
         )
-        assert run.text == fig8.run(suite).render()
+        assert run.text == reference.run_fig8(suite).render()
 
     def test_fig8_degrades_gracefully_below_fit_minimum(self, tmp_path):
         """A 2-query grid cannot support a 3-point log-log fit; the deep

@@ -139,8 +139,8 @@ class TestDPProperties:
         design = suite_tiny.design(IndexConfig.PK_FK)
         dp = DPEnumerator(model, design)
         for query in suite_tiny.queries:
-            card = suite_tiny.card("PostgreSQL", query)
-            plan, _ = dp.optimize(suite_tiny.context(query), card)
+            card = suite_tiny.workspace(query).card("PostgreSQL")
+            plan, _ = dp.optimize(suite_tiny.workspace(query).context, card)
             assert plan.subset == query.all_mask
 
     def test_shape_restriction_never_cheaper(self, suite_tiny):
@@ -151,8 +151,8 @@ class TestDPProperties:
                       TreeShape.ZIG_ZAG):
             restricted = DPEnumerator(model, design, shape=shape)
             for query in suite_tiny.queries[:4]:
-                ctx = suite_tiny.context(query)
-                card = suite_tiny.true_card(query)
+                ctx = suite_tiny.workspace(query).context
+                card = suite_tiny.workspace(query).true_card
                 _, bushy_cost = bushy.optimize(ctx, card)
                 plan, cost = restricted.optimize(ctx, card)
                 assert satisfies_shape(plan, shape), query.name
@@ -187,9 +187,8 @@ class TestDPProperties:
         design = suite_tiny.design(IndexConfig.PK_FK)
         dp = DPEnumerator(model, design)
         for query in suite_tiny.queries[:6]:
-            plan, _ = dp.optimize(
-                suite_tiny.context(query), suite_tiny.card("PostgreSQL", query)
-            )
+            ws = suite_tiny.workspace(query)
+            plan, _ = dp.optimize(ws.context, ws.card("PostgreSQL"))
             for node in plan.iter_nodes():
                 if isinstance(node, JoinNode):
                     assert node.edges, "cross product found"

@@ -80,8 +80,8 @@ class TestOperatorCorrectness:
         design = suite_tiny.design(IndexConfig.PK_FK)
         dp = DPEnumerator(model, design)
         for query in suite_tiny.queries:
-            tcard = suite_tiny.true_card(query)
-            plan, _ = dp.optimize(suite_tiny.context(query), tcard)
+            tcard = suite_tiny.workspace(query).true_card
+            plan, _ = dp.optimize(suite_tiny.workspace(query).context, tcard)
             ctx = ExecutionContext(
                 suite_tiny.db, design, EngineConfig(rehash=True)
             )

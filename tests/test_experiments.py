@@ -4,11 +4,18 @@ These run on a tiny suite (subset of JOB queries, tiny database) so they
 finish quickly; the benchmark harness regenerates the full-size versions.
 Each test asserts the *qualitative* finding of the corresponding table or
 figure — the invariants listed in DESIGN.md §4.
+
+Figures 3, 5, 6, 7 and 8 are asserted on their production body, the
+deep fold ``from_deep_frames`` that ``repro run`` renders.  A finding
+that only shows at a grid point the deep artifacts do not fix (the
+engine ablation's timeouts need a tight work budget) is asserted on the
+live reference loop in :mod:`reference.experiments` instead.
 """
 
 import numpy as np
 import pytest
 
+from reference import experiments as reference
 from repro.experiments import ExperimentSuite
 from repro.experiments import (
     ablation,
@@ -23,20 +30,40 @@ from repro.experiments import (
     table2,
     table3,
 )
+from repro.experiments import frame as frame_mod
 from repro.experiments.harness import ESTIMATOR_ORDER
 from repro.physical import IndexConfig
+from repro.pipeline import SweepSpec
 from repro.plans.shapes import TreeShape
+
+QUERIES = [
+    "1a", "2a", "4a", "5c", "6a", "13a", "13d", "16d", "17b", "25c", "32a",
+]
 
 
 @pytest.fixture(scope="module")
 def suite():
-    return ExperimentSuite(
-        scale="tiny",
-        query_names=[
-            "1a", "2a", "4a", "5c", "6a", "13a", "13d", "16d", "17b",
-            "25c", "32a",
-        ],
-    )
+    return ExperimentSuite(scale="tiny", query_names=QUERIES)
+
+
+@pytest.fixture(scope="module")
+def deep(tmp_path_factory):
+    """Fold a module's ``-deep`` artifact over the suite's queries.
+
+    One store for the module, so ``fig5-deep`` replays ``fig3-deep``'s
+    PostgreSQL cells and ``fig7-deep`` ``fig6-deep``'s PK cells.
+    """
+    root = tmp_path_factory.mktemp("deep-store")
+    base = SweepSpec(scale="tiny", seed=42, query_names=tuple(QUERIES))
+
+    def fold(module):
+        name = module.__name__.rsplit(".", 1)[-1] + "-deep"
+        run = frame_mod.run_report(
+            name, base, result_root=root, truth_root=root
+        )
+        return module.from_deep_frames(run.frames)
+
+    return fold
 
 
 class TestTable1:
@@ -55,8 +82,8 @@ class TestTable1:
 
 
 class TestFig3:
-    def test_error_growth_and_underestimation(self, suite):
-        result = fig3.run(suite, max_subexpr_size=5)
+    def test_error_growth_and_underestimation(self, deep):
+        result = deep(fig3)
         pg = result.percentiles["PostgreSQL"]
         # spread (p95/p5) grows with the join count
         spread = {
@@ -89,8 +116,8 @@ class TestFig4:
 
 
 class TestFig5:
-    def test_true_distincts_worsen_underestimation(self, suite):
-        result = fig5.run(suite, max_subexpr_size=5)
+    def test_true_distincts_worsen_underestimation(self, deep):
+        result = deep(fig5)
         top = max(result.percentiles["default"])
         for joins in range(2, top + 1):
             d = result.median_at("default", joins)
@@ -103,7 +130,9 @@ class TestFig5:
 
 class TestFig6:
     def test_engine_ablation(self, suite):
-        result = fig6.run_engine_ablation(suite, work_budget=2e6)
+        # the 2e6 work budget makes the default engine time out, which
+        # the deep grid's default budget does not on these queries
+        result = reference.run_engine_ablation(suite, work_budget=2e6)
         default = result.distributions["default"]
         no_nlj = result.distributions["no-nlj"]
         rehash = result.distributions["no-nlj+rehash"]
@@ -115,8 +144,17 @@ class TestFig6:
         assert rehash.fraction_at_least(10) <= no_nlj.fraction_at_least(10)
         assert "Figure 6" in result.render()
 
-    def test_injection_table(self, suite):
-        result = fig6.run_injection(suite, work_budget=2e6)
+    def test_engine_ablation_tail_on_deep_fold(self, deep):
+        result = deep(fig6).ablation
+        default = result.distributions["default"]
+        no_nlj = result.distributions["no-nlj"]
+        rehash = result.distributions["no-nlj+rehash"]
+        assert no_nlj.fraction_at_least(10) <= default.fraction_at_least(10)
+        assert rehash.fraction_at_least(10) <= no_nlj.fraction_at_least(10)
+        assert "Figure 6" in result.render()
+
+    def test_injection_table(self, suite, deep):
+        result = deep(fig6).injection
         assert set(result.distributions) == set(ESTIMATOR_ORDER)
         for dist in result.distributions.values():
             assert len(dist.slowdowns) == len(suite.queries)
@@ -125,8 +163,8 @@ class TestFig6:
 
 
 class TestFig7:
-    def test_fk_widens_tail(self, suite):
-        result = fig7.run(suite)
+    def test_fk_widens_tail(self, deep):
+        result = deep(fig7)
         pk = result.by_config[IndexConfig.PK]
         fk = result.by_config[IndexConfig.PK_FK]
         assert fk.fraction_at_least(2.0) >= pk.fraction_at_least(2.0), (
@@ -136,8 +174,8 @@ class TestFig7:
 
 
 class TestFig8:
-    def test_true_cards_tighten_costs(self, suite):
-        result = fig8.run(suite)
+    def test_true_cards_tighten_costs(self, deep):
+        result = deep(fig8)
         for model in fig8.COST_MODELS:
             est = result.panels[(model, "PostgreSQL")]
             true = result.panels[(model, "true")]

@@ -20,14 +20,16 @@ class TestSuite:
 
     def test_context_cached(self, suite_tiny):
         q = suite_tiny.queries[0]
-        assert suite_tiny.context(q) is suite_tiny.context(q)
+        ws = suite_tiny.workspace(q)
+        assert ws.context is suite_tiny.workspace(q).context
 
     def test_card_cached(self, suite_tiny):
         q = suite_tiny.queries[0]
-        assert suite_tiny.card("PostgreSQL", q) is suite_tiny.card(
-            "PostgreSQL", q
+        ws = suite_tiny.workspace(q)
+        assert ws.card("PostgreSQL") is suite_tiny.workspace(q).card(
+            "PostgreSQL"
         )
-        assert suite_tiny.true_card(q) is suite_tiny.true_card(q)
+        assert ws.true_card is suite_tiny.workspace(q).true_card
 
     def test_design_cached(self, suite_tiny):
         assert suite_tiny.design(IndexConfig.PK) is suite_tiny.design(
@@ -49,4 +51,4 @@ class TestSuite:
 
     def test_unknown_estimator_raises(self, suite_tiny):
         with pytest.raises(KeyError):
-            suite_tiny.card("NoSuchDBMS", suite_tiny.queries[0])
+            suite_tiny.workspace(suite_tiny.queries[0]).card("NoSuchDBMS")

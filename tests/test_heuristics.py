@@ -114,8 +114,8 @@ class TestGoo:
         design = suite_tiny.design(IndexConfig.PK_FK)
         dp = DPEnumerator(model, design)
         for query in suite_tiny.queries:
-            ctx = suite_tiny.context(query)
-            card = suite_tiny.true_card(query)
+            ctx = suite_tiny.workspace(query).context
+            card = suite_tiny.workspace(query).true_card
             _, dp_cost = dp.optimize(ctx, card)
             _, goo_cost = goo(ctx, card, model, design)
             assert goo_cost >= dp_cost - 1e-9, query.name

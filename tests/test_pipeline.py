@@ -75,11 +75,11 @@ class TestParity:
                 cost_model, suite.design(config.indexes), allow_nlj=False
             )
             for query in suite.queries:
-                ctx = suite.context(query)
-                tcard = suite.true_card(query)
+                ctx = suite.workspace(query).context
+                tcard = suite.workspace(query).true_card
                 _, optimal = dp.optimize(ctx, tcard)
                 for estimator in SPEC.estimators:
-                    card = suite.card(estimator, query)
+                    card = suite.workspace(query).card(estimator)
                     plan, est_cost = dp.optimize(ctx, card)
                     expected[(query.name, estimator, config.name)] = (
                         est_cost,
@@ -114,13 +114,6 @@ class TestWorkspaceSharing:
         assert ws.card("PostgreSQL") is ws.card("PostgreSQL")
         assert resources.workspace(query) is ws
         assert ws.context.catalog is ws.catalog
-
-    def test_suite_delegates_to_workspace(self):
-        suite = ExperimentSuite(scale="tiny", query_names=["1a"])
-        query = suite.queries[0]
-        assert suite.context(query) is suite.workspace(query).context
-        assert suite.card("HyPer", query) is suite.workspace(query).card("HyPer")
-        assert suite.true_card(query) is suite.workspace(query).true_card
 
     def test_workspace_pins_truth_state_across_churn(self):
         """A workspace must keep its query's truth counts alive even when
@@ -293,7 +286,7 @@ class TestTruthStore:
         payload = TruthStore(tmp_path, "tiny", 42).load("1a")
         suite = ExperimentSuite(scale="tiny", query_names=["1a"])
         query = suite.queries[0]
-        tcard = suite.true_card(query)
+        tcard = suite.workspace(query).true_card
         for subset, count in payload.counts.items():
             assert tcard(subset) == float(count)
 

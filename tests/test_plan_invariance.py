@@ -24,7 +24,7 @@ QUERIES = ["1a", "3a", "6a", "13d", "32a"]
 def test_all_random_plans_agree_with_truth(imdb_tiny, query_name, suite_tiny):
     query = job_query(query_name)
     context = QueryContext(query)
-    truth_card = suite_tiny.true_card(query)
+    truth_card = suite_tiny.workspace(query).true_card
     expected = int(truth_card(query.all_mask))
     cost_model = SimpleCostModel(imdb_tiny)
     design = PhysicalDesign(imdb_tiny, IndexConfig.PK_FK)
@@ -47,12 +47,12 @@ def test_engine_config_never_changes_results(
     """Engine risk knobs change *work*, never *answers*."""
     query = job_query("13a")
     context = QueryContext(query)
-    truth_card = suite_tiny.true_card(query)
+    truth_card = suite_tiny.workspace(query).true_card
     cost_model = SimpleCostModel(imdb_tiny)
     design = PhysicalDesign(imdb_tiny, config)
     rng = np.random.default_rng(3)
     plan, _ = random_plan(context, truth_card, cost_model, design, rng)
-    annotate_estimates(plan, suite_tiny.card("PostgreSQL", query))
+    annotate_estimates(plan, suite_tiny.workspace(query).card("PostgreSQL"))
     ctx = ExecutionContext(
         imdb_tiny, design, EngineConfig(rehash=rehash, work_budget=1e12)
     )
@@ -64,7 +64,7 @@ def test_estimate_annotations_do_not_change_results(imdb_tiny, suite_tiny):
     """Hash sizing from wildly wrong estimates must only cost time."""
     query = job_query("6a")
     context = QueryContext(query)
-    truth_card = suite_tiny.true_card(query)
+    truth_card = suite_tiny.workspace(query).true_card
     cost_model = SimpleCostModel(imdb_tiny)
     design = PhysicalDesign(imdb_tiny, IndexConfig.PK)
     rng = np.random.default_rng(1)

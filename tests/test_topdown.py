@@ -19,7 +19,7 @@ SMALL_QUERIES = ["1a", "2a", "3a", "4a", "5c", "6a", "13d", "32a"]
 def test_topdown_matches_dp(suite_tiny, imdb_tiny, query_name, config):
     query = job_query(query_name)
     context = QueryContext(query)
-    card = suite_tiny.card("PostgreSQL", query)
+    card = suite_tiny.workspace(query).card("PostgreSQL")
     model = SimpleCostModel(imdb_tiny)
     design = PhysicalDesign(imdb_tiny, config)
     _, dp_cost = DPEnumerator(model, design).optimize(context, card)
@@ -30,7 +30,7 @@ def test_topdown_matches_dp(suite_tiny, imdb_tiny, query_name, config):
 def test_topdown_matches_dp_under_truth(suite_tiny, imdb_tiny):
     query = job_query("13d")
     context = QueryContext(query)
-    card = suite_tiny.true_card(query)
+    card = suite_tiny.workspace(query).true_card
     model = TunedPostgresCostModel(imdb_tiny)
     design = PhysicalDesign(imdb_tiny, IndexConfig.PK_FK)
     _, dp_cost = DPEnumerator(model, design).optimize(context, card)
@@ -41,7 +41,7 @@ def test_topdown_matches_dp_under_truth(suite_tiny, imdb_tiny):
 def test_pruning_preserves_optimality(suite_tiny, imdb_tiny):
     query = job_query("13a")
     context = QueryContext(query)
-    card = suite_tiny.card("PostgreSQL", query)
+    card = suite_tiny.workspace(query).card("PostgreSQL")
     model = SimpleCostModel(imdb_tiny)
     design = PhysicalDesign(imdb_tiny, IndexConfig.PK_FK)
     pruned = TopDownEnumerator(model, design, prune=True)
@@ -54,7 +54,7 @@ def test_pruning_preserves_optimality(suite_tiny, imdb_tiny):
 def test_plan_is_complete_and_annotated(suite_tiny, imdb_tiny):
     query = job_query("6a")
     context = QueryContext(query)
-    card = suite_tiny.card("PostgreSQL", query)
+    card = suite_tiny.workspace(query).card("PostgreSQL")
     td = TopDownEnumerator(SimpleCostModel(imdb_tiny),
                            PhysicalDesign(imdb_tiny, IndexConfig.PK))
     plan, _ = td.optimize(context, card)
@@ -81,7 +81,7 @@ def test_disconnected_graph_raises(toy_db):
 def test_partitions_explored_counter(suite_tiny, imdb_tiny):
     query = job_query("3a")
     context = QueryContext(query)
-    card = suite_tiny.card("PostgreSQL", query)
+    card = suite_tiny.workspace(query).card("PostgreSQL")
     td = TopDownEnumerator(SimpleCostModel(imdb_tiny),
                            PhysicalDesign(imdb_tiny, IndexConfig.PK))
     td.optimize(context, card)
