@@ -22,15 +22,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from collections.abc import Callable
 from functools import cached_property
 
 from repro.experiments import ExperimentSuite
-
-
-def _suite(args: argparse.Namespace) -> ExperimentSuite:
-    names = args.queries.split(",") if args.queries else None
-    return ExperimentSuite(scale=args.scale, seed=args.seed, query_names=names)
 
 
 def _query_names(queries: str | None, dataset: str = "imdb"):
@@ -64,6 +60,17 @@ def _query_names(queries: str | None, dataset: str = "imdb"):
     return tuple(names), 0
 
 
+def _one_query(name: str):
+    """Validate a positional query name: ``(name, 0)`` or ``(None, 2)``."""
+    names, code = _query_names(name)
+    if code:
+        return None, code
+    if names is None or len(names) != 1:
+        print(f"expected one query name, got {name!r}", file=sys.stderr)
+        return None, 2
+    return names[0], 0
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     from repro.workloads import job_queries
 
@@ -81,7 +88,10 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     from repro.query.sqlgen import query_to_sql
     from repro.workloads import job_query
 
-    print(query_to_sql(job_query(args.query)))
+    name, code = _one_query(args.query)
+    if code:
+        return code
+    print(query_to_sql(job_query(name)))
     return 0
 
 
@@ -92,8 +102,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.plans.explain import explain
     from repro.workloads import job_query
 
-    suite = _suite(args)
-    query = job_query(args.query)
+    name, code = _one_query(args.query)
+    if code:
+        return code
+    suite = ExperimentSuite(
+        scale=args.scale, seed=args.seed, query_names=[name]
+    )
+    query = job_query(name)
     design = suite.design(IndexConfig[args.indexes])
     dp = DPEnumerator(SimpleCostModel(suite.db), design, allow_nlj=False)
     est = suite.estimators["PostgreSQL"].bind(query)
@@ -125,17 +140,17 @@ def _cmd_export(args: argparse.Namespace) -> int:
 class _RunInputs:
     """What `repro run` experiments read, each built on first use.
 
-    The deep paper figures render a registered ``-deep`` artifact priced
-    in memory (no store); the rest run live against an
-    :class:`ExperimentSuite`.  ``section4.1`` and ``fig6`` are the two
-    halves of one artifact, so the last one is kept for the next name.
+    The deep paper figures render a registered ``-deep`` artifact
+    through one scratch store (``store_root``, truth and rows alike), so
+    a cell one figure priced is replayed by the next; the rest run live
+    against an :class:`ExperimentSuite`.
     """
 
-    def __init__(self, scale: str, seed: int, query_names) -> None:
+    def __init__(self, scale: str, seed: int, query_names, store_root):
         from repro.pipeline.grid import SweepSpec
 
         self.base = SweepSpec(scale=scale, seed=seed, query_names=query_names)
-        self._last_report = None
+        self.store_root = store_root
 
     @cached_property
     def suite(self) -> ExperimentSuite:
@@ -149,13 +164,18 @@ class _RunInputs:
     def report(self, name: str):
         from repro.experiments import frame
 
-        if self._last_report is None or self._last_report.name != name:
-            self._last_report = frame.run_report(name, self.base)
-        return self._last_report
+        return frame.run_report(
+            name,
+            self.base,
+            result_root=self.store_root,
+            truth_root=self.store_root,
+        )
 
 
 #: experiment name -> its rendered text, given the run's inputs
 _EXPERIMENTS: dict[str, Callable[[_RunInputs], str]] = {}
+#: experiment name -> the workload queries it reads whatever --queries says
+_NEEDS: dict[str, list[str]] = {}
 
 
 def _register_experiments() -> None:
@@ -191,6 +211,7 @@ def _register_experiments() -> None:
             "ablation.join-sampling": live(ablation.join_sampling_comparison),
         }
     )
+    _NEEDS.update({"fig4": fig4.JOB_FIG4, "fig9": fig9.FIG9_QUERIES})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -209,10 +230,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     query_names, code = _query_names(args.queries)
     if code:
         return code
-    inputs = _RunInputs(args.scale, args.seed, query_names)
     for name in names:
-        print(_EXPERIMENTS[name](inputs))
-        print()
+        needs = _NEEDS.get(name, ())
+        if query_names is not None and not set(needs) <= set(query_names):
+            print(
+                f"{name} reads queries {', '.join(needs)}; "
+                "--queries must include them",
+                file=sys.stderr,
+            )
+            return 2
+    with tempfile.TemporaryDirectory(prefix="repro-run-") as store_root:
+        inputs = _RunInputs(args.scale, args.seed, query_names, store_root)
+        for name in names:
+            print(_EXPERIMENTS[name](inputs))
+            print()
     return 0
 
 
@@ -273,7 +304,7 @@ def _build_sweep_spec(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.pipeline import run_sweep
+    from repro.pipeline import SWEEP_KIND, run_sweep
 
     spec, code = _build_sweep_spec(args)
     if spec is None:
@@ -282,21 +313,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result_root = None
     else:
         result_root = args.result_cache or args.truth_cache
-    progress = None
-    if args.progress:
-        def progress(report):
+    priced_seconds = 0.0
+
+    def progress(report):
+        nonlocal priced_seconds
+        priced_seconds += report.unit_seconds
+        if args.progress:
             print(report.render(), file=sys.stderr, flush=True)
-    aggregator = None
-    if args.summary:
-        from repro.pipeline.aggregate import StreamingAggregator
-
-        aggregator = StreamingAggregator()
-        inner = progress
-
-        def progress(report, _inner=inner, _agg=aggregator):
-            _agg.on_report(report)
-            if _inner is not None:
-                _inner(report)
 
     result = run_sweep(
         spec,
@@ -305,9 +328,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result_root=result_root,
         resume=args.resume,
         progress=progress,
-        stream_csv=args.csv,
     )
-    if aggregator is not None:
+    if args.csv:
+        result.to_csv(args.csv)
+    if args.summary:
+        aggregator = SWEEP_KIND.aggregator()
+        aggregator.add_many(result.rows)
+        aggregator.priced_cells = result.priced_cells
+        aggregator.replayed_cells = result.cached_cells
+        aggregator.priced_seconds = priced_seconds
         print(aggregator.summary().render())
         print()
     print(result.render())
@@ -584,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--scale", default="tiny",
                            choices=["tiny", "small", "medium"])
     p_explain.add_argument("--seed", type=int, default=42)
-    p_explain.add_argument("--queries", default=None, help=argparse.SUPPRESS)
     p_explain.add_argument("--indexes", default="PK_FK",
                            choices=["NONE", "PK", "PK_FK"])
     p_explain.set_defaults(func=_cmd_explain)
@@ -624,16 +652,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--csv", default=None, metavar="PATH",
         help=(
-            "write the rows as CSV, streamed while the sweep runs and "
-            "canonically ordered once it finishes"
+            "write the rows as CSV once the sweep finishes, in canonical "
+            "grid order (atomically: a killed run writes nothing)"
         ),
     )
     p_sweep.add_argument(
         "--summary", action="store_true",
         help=(
             "print a workload-level aggregate (q-error quantiles, "
-            "slowdown buckets, throughput) folded incrementally while "
-            "the sweep runs"
+            "slowdown buckets, throughput) folded from the finished "
+            "sweep's rows"
         ),
     )
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -39,14 +39,15 @@ Module             Provides
 ``results``        :class:`ResultStore` (persistent priced rows of both
                    kinds in one versioned per-query file, manifest
                    index, ``load_many``/``scan`` + deep batch APIs) +
-                   :class:`CsvStreamWriter` / :class:`UnitReport`
-                   (streaming reports)
+                   :class:`UnitReport` (per-unit progress: counts and
+                   timings)
 ``index``          :class:`StoreIndex` — flock-disciplined manifest over
                    a result-store directory with per-file staleness and
                    per-kind row-key sets
 ``aggregate``      :func:`aggregate_cells` — the generic store fold —
-                   plus :class:`StreamingAggregator` /
-                   :func:`aggregate_store` and their deep twins
+                   plus :class:`StreamingAggregator` (the batch fold of
+                   sweep rows) / :func:`aggregate_store` and their deep
+                   twins
 ``instrument``     process-local counters behind the warm-path
                    zero-generation / zero-pricing guarantee
 ``driver``         :func:`run_cells` — the one incremental
@@ -107,7 +108,6 @@ from repro.pipeline.kinds import (
 )
 from repro.pipeline.scheduler import CellScheduler, order_units
 from repro.pipeline.results import (
-    CsvStreamWriter,
     ResultStore,
     StoredRows,
     UnitReport,
@@ -155,7 +155,6 @@ __all__ = [
     "CellKind",
     "CellScheduler",
     "CellUnit",
-    "CsvStreamWriter",
     "DeepAggregateSummary",
     "DeepCell",
     "DeepCellKey",

@@ -1,17 +1,13 @@
-"""Streaming aggregation over sweep rows.
+"""Batch aggregation over stored or finished rows.
 
 The paper's headline artifacts are all *aggregations* of the same grid —
 medians and tail percentiles of q-errors, slowdown buckets, plan-cost
-ratios.  This module folds those summaries incrementally from
-:class:`~repro.pipeline.grid.SweepRow`\\ s so that:
-
-* a running sweep can expose live workload-level statistics through its
-  ``progress`` callback (a :class:`StreamingAggregator` *is* a valid
-  ``run_sweep(progress=...)`` callback — it folds the rows each
-  :class:`~repro.pipeline.results.UnitReport` carries), and
-* a warm :class:`~repro.pipeline.results.ResultStore` can be summarised
-  without a sweep at all (:func:`aggregate_store` batch-folds
-  ``ResultStore.scan``).
+ratios.  This module folds those summaries from
+:class:`~repro.pipeline.grid.SweepRow`\\ s (and their deep twins) in one
+batch: :func:`aggregate_store` folds a warm
+:class:`~repro.pipeline.results.ResultStore` without a sweep at all
+(``ResultStore.scan``), and ``repro sweep --summary`` folds a finished
+sweep's ``result.rows``.
 
 Determinism contract
 --------------------
@@ -30,10 +26,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.pipeline.grid import TRUE_SOURCE, DeepRow, SweepRow
-from repro.pipeline.results import ResultStore, UnitReport
+from repro.pipeline.results import ResultStore
 from repro.util.stats import SLOWDOWN_BUCKETS
 
 _BUCKET_LABELS = tuple(label for _, _, label in SLOWDOWN_BUCKETS)
@@ -94,8 +90,8 @@ class AggregateSummary:
     n_queries: int
     by_estimator: list[EstimatorStats]
     by_config: list[ConfigStats]
-    #: total pricing wall time observed via UnitReports (0.0 for batch
-    #: folds over a store scan)
+    #: total pricing wall time of the run that produced the rows (0.0
+    #: for folds over a store scan)
     priced_seconds: float = 0.0
     priced_cells: int = 0
     replayed_cells: int = 0
@@ -157,13 +153,11 @@ class AggregateSummary:
 
 
 class _StreamingFold:
-    """Shared streaming-fold state and progress-event plumbing.
+    """Shared fold state of both kind aggregators.
 
-    Both kind aggregators extend this: per-row folding differs per kind
-    (the :meth:`add` hook), but the row/query/throughput accounting and
-    the ``run_cells(progress=...)`` callback protocol — fold the rows
-    each :class:`UnitReport` carries, accumulate its wall time — are
-    kind-independent and live here exactly once.
+    Per-row folding differs per kind (the :meth:`add` hook); the
+    row/query/throughput accounting is kind-independent and lives here
+    exactly once.
     """
 
     def __init__(self) -> None:
@@ -180,24 +174,12 @@ class _StreamingFold:
         for row in rows:
             self.add(row)
 
-    def on_report(self, report: UnitReport) -> None:
-        """Consume one progress event (rows + throughput)."""
-        self.add_many(report.rows)
-        self.priced_seconds += report.unit_seconds
-        self.priced_cells += report.priced
-        self.replayed_cells += report.cached
-
-    #: an aggregator is itself a valid ``progress`` callback
-    __call__ = on_report
-
 
 class StreamingAggregator(_StreamingFold):
-    """Fold sweep rows into workload-level summaries, incrementally.
+    """Fold sweep rows into workload-level summaries.
 
-    Feed it rows directly (:meth:`add` / :meth:`add_many`), pass the
-    aggregator itself as ``run_sweep(progress=...)`` (it consumes each
-    :class:`UnitReport`'s rows and wall time), or batch-fold a store with
-    :func:`aggregate_store`.  See the module docstring for the
+    Feed it rows (:meth:`add` / :meth:`add_many`), or batch-fold a store
+    with :func:`aggregate_store`.  See the module docstring for the
     determinism contract.
 
     Re-adding a cell (same ``(query, estimator, config)``) overwrites its
@@ -400,14 +382,13 @@ class DeepAggregateSummary:
 
 
 class DeepStreamingAggregator(_StreamingFold):
-    """Fold deep rows into workload-level summaries, incrementally.
+    """Fold deep rows into workload-level summaries.
 
     The deep twin of :class:`StreamingAggregator`: one scalar record is
     retained per row, keyed by the row's full identity, and
     :meth:`summary` folds the records in sorted key order — so the
     arrival order (pooled, resumed, shuffled) cannot leak into the
-    summary, which is bit-identical to a batch fold of the same rows.
-    Usable directly as a ``run_deep_sweep(progress=...)`` callback.
+    summary.
     """
 
     def __init__(self) -> None:
@@ -505,11 +486,11 @@ def aggregate_cells(
     (:meth:`~repro.pipeline.kinds.CellKind.scan`), the aggregator
     factory, and the replay accounting.  Deterministic because the scan
     order is canonical and the exact folds summarise retained records in
-    sorted key order — bit-identical to a streaming fold of the same
-    rows in any arrival order.
+    sorted key order — bit-identical to a fold of the same rows in any
+    arrival order.
 
-    ``replayed_cells`` counts *cells* (like the streaming fold's
-    :class:`UnitReport` accounting), not rows: for kinds where every row
+    ``replayed_cells`` counts *cells* (like a sweep result's
+    ``cached_cells``), not rows: for kinds where every row
     is its own cell that is the row count, otherwise distinct cell
     identities are counted (one subexpression cell owns many rows).
     """

@@ -10,8 +10,8 @@ package splits the sweep into:
   ``multiprocessing`` pool — and re-sorts gathered rows so output stays
   bit-identical to a cold sequential run;
 * the **result layer** (:mod:`repro.pipeline.results`) replays
-  previously priced cells from disk, persists fresh ones, and streams
-  rows to CSV/progress callbacks as each unit completes.
+  previously priced cells from disk and persists fresh ones as each
+  unit completes.
 
 The pricing itself lives here: :func:`price_cells` prices any subset of
 one query's cells against its shared workspace (one subgraph catalog,
@@ -43,12 +43,7 @@ from repro.pipeline.grid import (
     SweepSpec,
 )
 from repro.pipeline.resources import QueryWorkspace, WorkloadResources
-from repro.pipeline.results import (
-    CsvStreamWriter,
-    ResultStore,
-    UnitReport,
-    deep_cell_key,
-)
+from repro.pipeline.results import ResultStore, UnitReport, deep_cell_key
 from repro.pipeline.scheduler import CellScheduler
 from repro.pipeline.tasks import (
     CellUnit,
@@ -413,7 +408,6 @@ def run_cells(
     result_root: str | Path | None = None,
     resume: bool = True,
     progress=None,
-    stream_csv: str | Path | None = None,
 ):
     """Run any kind's grid incrementally: the one orchestration core.
 
@@ -431,12 +425,11 @@ def run_cells(
     priced by any previous run — any process, ever — are replayed from
     disk instead of recomputed, unless ``resume=False`` forces a full
     re-price (the store is still updated).  ``progress`` is called with
-    a :class:`~repro.pipeline.results.UnitReport` as each unit
-    completes; ``stream_csv`` writes rows (in the kind's CSV schema) to
-    that path as they arrive and atomically canonicalises the file at
-    the end.  Rows in the returned result are always in canonical grid
-    order, bit-identical across sequential, pooled, resumed, and
-    queue-drained runs.
+    a :class:`~repro.pipeline.results.UnitReport` (counts and timings)
+    as each unit completes.  Rows are gathered once, into the returned
+    result, always in canonical grid order, bit-identical across
+    sequential, pooled, resumed, and queue-drained runs; the store is
+    the run's durable record.
     """
     if resources is not None and truth_root is not None:
         raise ValueError(
@@ -489,32 +482,9 @@ def run_cells(
         len(kind.cell_rows(value)) for value in values.values()
     )
     total_units = len(units)
-    writer = (
-        CsvStreamWriter(stream_csv, fields=kind.csv_fields)
-        if stream_csv is not None
-        else None
-    )
     completed = 0
-    full_units = {u.query: u for u in units}
 
-    def _unit_rows(unit: CellUnit) -> list:
-        # the unit's cells are already in canonical order (decompose's
-        # query → config → estimator nesting), so walking them flattens
-        # the unit's full row set in output order
-        rows: list = []
-        for cell in unit.cells:
-            value = values.get((unit.query, kind.store_key(cell)))
-            if value is not None:
-                rows.extend(kind.cell_rows(value))
-        return rows
-
-    def _report(
-        query: str,
-        priced: int,
-        cached: int,
-        unit_rows: list,
-        timing: UnitTiming,
-    ) -> None:
+    def _report(query: str, priced: int, cached: int, timing: UnitTiming):
         if progress is not None:
             progress(
                 UnitReport(
@@ -526,69 +496,53 @@ def run_cells(
                     unit_seconds=timing.seconds,
                     setup_seconds=timing.setup_seconds,
                     phases=timing.phases,
-                    rows=tuple(unit_rows),
                 )
             )
 
-    try:
-        # fully cached units complete immediately, in canonical order
-        pending_names = {u.query for u in pending_units}
-        for unit in units:
-            if unit.query in pending_names:
-                continue
-            completed += 1
-            unit_rows = _unit_rows(unit)
-            if writer is not None:
-                writer.write(unit_rows)
-            _report(unit.query, 0, len(unit.cells), unit_rows, UnitTiming())
+    # fully cached units complete immediately, in canonical order
+    pending_names = {u.query for u in pending_units}
+    for unit in units:
+        if unit.query in pending_names:
+            continue
+        completed += 1
+        _report(unit.query, 0, len(unit.cells), UnitTiming())
 
-        def _on_complete(unit: CellUnit, raw, timing: UnitTiming) -> None:
-            nonlocal completed
-            completed += 1
-            priced = kind.normalize(unit.cells, raw)
-            for cell, value in priced.items():
-                values[(unit.query, kind.store_key(cell))] = value
-            if store is not None:
-                kind.save_stored(
-                    store,
-                    unit.query,
-                    {
-                        kind.store_key(cell): value
-                        for cell, value in priced.items()
-                    },
-                )
-            # the unit's full row set (replayed cells included) in
-            # canonical order: streamed to CSV so the mid-run file always
-            # holds complete units, and carried on the progress report so
-            # streaming aggregators fold whole units
-            unit_rows = _unit_rows(full_units[unit.query])
-            if writer is not None:
-                writer.write(unit_rows)
-            _report(
+    def _on_complete(unit: CellUnit, raw, timing: UnitTiming) -> None:
+        nonlocal completed
+        completed += 1
+        priced = kind.normalize(unit.cells, raw)
+        for cell, value in priced.items():
+            values[(unit.query, kind.store_key(cell))] = value
+        if store is not None:
+            kind.save_stored(
+                store,
                 unit.query,
-                len(priced),
-                len(cached_cells[unit.query]),
-                unit_rows,
-                timing,
+                {
+                    kind.store_key(cell): value
+                    for cell, value in priced.items()
+                },
             )
-
-        scheduler = CellScheduler(
-            kind,
-            spec,
-            processes=processes,
-            truth_root=truth_root,
-            resources=resources,
+        _report(
+            unit.query, len(priced), len(cached_cells[unit.query]), timing
         )
-        scheduler.run(pending_units, _on_complete)
 
-        all_rows: list = []
-        for unit in units:
-            all_rows.extend(_unit_rows(unit))
-        if writer is not None:
-            writer.finalize(all_rows)
-    finally:
-        if writer is not None:
-            writer.close()
+    scheduler = CellScheduler(
+        kind,
+        spec,
+        processes=processes,
+        truth_root=truth_root,
+        resources=resources,
+    )
+    scheduler.run(pending_units, _on_complete)
+
+    # every unit's cells are in canonical order (decompose's query →
+    # config → estimator nesting), so walking them flattens the grid's
+    # rows in output order
+    all_rows: list = []
+    for unit in units:
+        for cell in unit.cells:
+            value = values[(unit.query, kind.store_key(cell))]
+            all_rows.extend(kind.cell_rows(value))
     return kind.make_result(spec, all_rows, n_priced, n_cached)
 
 
@@ -600,7 +554,6 @@ def run_sweep(
     result_root: str | Path | None = None,
     resume: bool = True,
     progress=None,
-    stream_csv: str | Path | None = None,
 ) -> SweepResult:
     """Run the shallow grid: :func:`run_cells` of the sweep kind."""
     from repro.pipeline.kinds import SWEEP_KIND
@@ -614,7 +567,6 @@ def run_sweep(
         result_root=result_root,
         resume=resume,
         progress=progress,
-        stream_csv=stream_csv,
     )
 
 
@@ -626,7 +578,6 @@ def run_deep_sweep(
     result_root: str | Path | None = None,
     resume: bool = True,
     progress=None,
-    stream_csv: str | Path | None = None,
 ) -> DeepResult:
     """Run the deep measurement grid: :func:`run_cells` of the deep kind.
 
@@ -646,5 +597,4 @@ def run_deep_sweep(
         result_root=result_root,
         resume=resume,
         progress=progress,
-        stream_csv=stream_csv,
     )

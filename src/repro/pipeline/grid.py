@@ -24,6 +24,7 @@ from repro.cost import (
 )
 from repro.physical import IndexConfig
 from repro.pipeline.resources import ESTIMATOR_ORDER
+from repro.pipeline.truthstore import atomic_write
 from repro.plans.shapes import TreeShape
 
 COST_MODELS = ("simple", "standard", "tuned")
@@ -293,13 +294,18 @@ class SweepResult:
         return {(r.query, r.estimator, r.config): r for r in self.rows}
 
     def to_csv(self, path: str | Path) -> Path:
+        """Write the rows as CSV, atomically: a reader (or a crash) sees
+        the previous file or the finished one, never a partial one."""
         path = Path(path)
         names = [f.name for f in fields(SweepRow)]
-        with path.open("w", newline="") as handle:
+
+        def write(handle) -> None:
             writer = csv.DictWriter(handle, fieldnames=names)
             writer.writeheader()
             for row in self.rows:
                 writer.writerow(asdict(row))
+
+        atomic_write(path, write)
         return path
 
     def render(self) -> str:

@@ -20,7 +20,7 @@ need to ask:
   the per-query remainder of the cell's content key);
 * **read and write** the :class:`~repro.pipeline.results.ResultStore`
   (replay lookup, merge-discipline save);
-* **fold** rows into the kind's streaming aggregator;
+* **fold** rows into the kind's aggregator;
 * **serialise** a spec to JSON and back, so lease-queue workers in
   other processes — or on other machines sharing a filesystem — can
   rebuild the exact same world.
@@ -55,11 +55,7 @@ from repro.pipeline.grid import (
     SweepRow,
     SweepSpec,
 )
-from repro.pipeline.results import (
-    DEEP_ROW_FIELDS,
-    ROW_FIELDS,
-    deep_cell_key,
-)
+from repro.pipeline.results import deep_cell_key
 from repro.pipeline.tasks import CellUnit, decompose, decompose_deep
 from repro.plans.shapes import TreeShape
 
@@ -78,8 +74,6 @@ class CellKind:
 
     #: registry name; this string is what crosses process boundaries
     name: str
-    #: CSV column names of one row (``None`` disables CSV streaming)
-    csv_fields: tuple[str, ...]
     #: True when every stored row is exactly one cell (a scan's row
     #: count is then its cell count); False when a cell owns many rows,
     #: making distinct :meth:`cell_identity` values the cell count
@@ -147,7 +141,7 @@ class CellKind:
     # -------------------------------------------------------------- #
 
     def aggregator(self, **kwargs):
-        """A fresh streaming aggregator for this kind's rows."""
+        """A fresh aggregator for this kind's rows."""
         raise NotImplementedError
 
     def cell_identity(self, row) -> tuple:
@@ -189,7 +183,6 @@ class SweepKind(CellKind):
     """Shallow sweep cells: one :class:`SweepRow` per cell."""
 
     name = "sweep"
-    csv_fields = ROW_FIELDS
     one_row_per_cell = True
 
     def decompose(self, spec):
@@ -287,7 +280,6 @@ class DeepKind(CellKind):
     """Deep measurement cells: one :class:`DeepRow` tuple per cell."""
 
     name = "deep"
-    csv_fields = DEEP_ROW_FIELDS
     one_row_per_cell = False
 
     def decompose(self, spec):

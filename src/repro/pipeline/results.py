@@ -1,4 +1,4 @@
-"""Result store + streaming reports: persist and replay priced cells.
+"""Result store + progress reports: persist and replay priced cells.
 
 The :class:`ResultStore` is to :class:`~repro.pipeline.grid.SweepRow`
 what the :class:`~repro.pipeline.truthstore.TruthStore` is to exact
@@ -34,21 +34,16 @@ answers a whole workload's replay question with one index read, and
 for batch aggregation.  Per-file staleness checks keep the manifest
 honest under concurrent sweeps.
 
-The reporting half streams results while a sweep is still running:
-:class:`CsvStreamWriter` appends complete rows (flushed after every
-unit) in completion order and atomically rewrites the file in canonical
-grid order at the end, and :class:`UnitReport` is the progress event
-handed to ``run_sweep(progress=...)`` callbacks as each unit completes.
+:class:`UnitReport` is the progress event handed to
+``run_sweep(progress=...)`` callbacks as each unit completes: counts and
+timings only — the rows themselves are the store's and the finished
+result's.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
-import os
-import tempfile
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 from dataclasses import field as dataclass_field
@@ -65,7 +60,7 @@ log = logging.getLogger(__name__)
 _FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 
-#: SweepRow field names, in dataclass (= CSV column) order
+#: SweepRow field names, in dataclass order
 ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 _FLOAT_FIELDS = tuple(
@@ -422,7 +417,7 @@ class ResultStore:
 
 
 # --------------------------------------------------------------------- #
-# streaming reports
+# progress reports
 # --------------------------------------------------------------------- #
 
 
@@ -441,10 +436,7 @@ class UnitReport:
     its process completed: it is reported but **excluded** from
     ``cells_per_second``, which keeps sequential and pooled throughput
     comparable.  ``phases`` breaks the pricing seconds down by pipeline
-    stage (:data:`~repro.pipeline.instrument.PHASE_NAMES`).  ``rows``
-    carries the unit's complete row set (replayed cells included) in
-    canonical cell order, which is what lets a streaming consumer fold
-    summaries incrementally from progress events alone.
+    stage (:data:`~repro.pipeline.instrument.PHASE_NAMES`).
     """
 
     query: str
@@ -455,7 +447,6 @@ class UnitReport:
     unit_seconds: float = 0.0
     setup_seconds: float = 0.0
     phases: tuple[tuple[str, float], ...] = ()
-    rows: tuple[SweepRow, ...] = ()
 
     @property
     def cells_per_second(self) -> float:
@@ -489,73 +480,3 @@ class UnitReport:
             f"[{self.index}/{self.total}] {self.query}: "
             f"{source}{timing}{setup}{breakdown}"
         )
-
-
-class CsvStreamWriter:
-    """Write rows of one kind to CSV incrementally, then canonicalise.
-
-    While the sweep runs, rows land in **completion order** and the file
-    is flushed (and fsync'd) after every unit, so a concurrent reader —
-    or a run killed halfway — always sees a valid CSV of complete rows.
-    :meth:`finalize` atomically replaces the file with the rows in
-    canonical grid order, making the finished file byte-identical no
-    matter how the run was scheduled or resumed.  ``fields`` is the row
-    dataclass's column schema — :data:`ROW_FIELDS` (the default) for
-    sweep rows, :data:`DEEP_ROW_FIELDS` for deep rows.
-    """
-
-    def __init__(
-        self, path: str | Path, fields: tuple[str, ...] = ROW_FIELDS
-    ) -> None:
-        self.path = Path(path)
-        self.fields = tuple(fields)
-        self._handle: io.TextIOWrapper | None = self.path.open("w", newline="")
-        self._writer = csv.DictWriter(
-            self._handle, fieldnames=list(self.fields)
-        )
-        self._writer.writeheader()
-        self._flush()
-
-    def _flush(self) -> None:
-        assert self._handle is not None
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def write(self, rows: list[SweepRow]) -> None:
-        if self._handle is None:
-            raise ValueError("writer is closed")
-        for row in rows:
-            self._writer.writerow(asdict(row))
-        self._flush()
-
-    def finalize(self, rows: list[SweepRow]) -> Path:
-        """Atomically rewrite the file with ``rows`` in the given order."""
-        self.close()
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{self.path.name}.", suffix=".tmp", dir=self.path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", newline="") as handle:
-                writer = csv.DictWriter(handle, fieldnames=list(self.fields))
-                writer.writeheader()
-                for row in rows:
-                    writer.writerow(asdict(row))
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return self.path
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "CsvStreamWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -10,10 +10,10 @@ runs use the same order so that a resumed run, whatever mode produced
 its cached cells, always observes one schedule.
 
 Execution order is therefore *not* output order.  Units report
-completion as they finish (that is what makes streaming reports
-possible), and the driver re-sorts the collected rows into canonical
-cell order at the end — so pooled, resumed, and largest-first runs all
-emit bit-identical row sequences.
+completion as they finish (so each unit is persisted and reported as
+soon as it is priced), and the driver re-sorts the collected rows into
+canonical cell order at the end — so pooled, resumed, and largest-first
+runs all emit bit-identical row sequences.
 
 There is exactly **one** scheduler: :class:`CellScheduler` is
 parameterised by a :class:`~repro.pipeline.kinds.CellKind`, which owns

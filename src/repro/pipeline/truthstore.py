@@ -23,9 +23,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 #: re-export: the coverage rule is shared with the truth oracle's
 #: cache-completeness claims, see :mod:`repro.util.coverage`
@@ -79,23 +81,24 @@ def _fsync_directory(path: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` as JSON via temp file + rename, durably.
+def atomic_write(path: Path, write: Callable[[TextIO], None]) -> None:
+    """Write a text file via temp file + rename, durably.
 
-    ``os.replace`` alone keeps *live* readers safe (they see the old or
-    the new file, never a torn one) but says nothing about a crash:
-    without an ``fsync`` of the temp file's data before the rename, the
-    final name can point at an empty or truncated inode after a power
-    loss — which reads as corrupt and silently re-prices everything the
-    file held.  So: flush and fsync the data first, rename, then fsync
-    the parent directory so the rename itself survives the crash.
+    ``write`` fills the open temp file.  ``os.replace`` alone keeps
+    *live* readers safe (they see the old or the new file, never a torn
+    one) but says nothing about a crash: without an ``fsync`` of the
+    temp file's data before the rename, the final name can point at an
+    empty or truncated inode after a power loss — which reads as corrupt
+    and silently re-prices everything the file held.  So: flush and
+    fsync the data first, rename, then fsync the parent directory so
+    the rename itself survives the crash.
     """
     fd, tmp = tempfile.mkstemp(
         prefix=f".{path.stem}.", suffix=".tmp", dir=path.parent
     )
     try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+        with os.fdopen(fd, "w", newline="") as handle:
+            write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         # mkstemp creates 0600 files; a shared cache directory must be
@@ -111,6 +114,11 @@ def atomic_write_json(path: Path, payload: dict) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_json(path: Path, payload: dict) -> None:
+    """:func:`atomic_write` of ``payload`` as JSON."""
+    atomic_write(path, lambda handle: json.dump(payload, handle))
 
 
 def db_key(

@@ -40,7 +40,7 @@ def geometric_mean(values: Sequence[float]) -> float:
 
 
 #: the paper's Section 4 slowdown grouping, shared by the experiment
-#: renderers and the pipeline's streaming aggregator
+#: renderers and the pipeline's aggregator
 SLOWDOWN_BUCKETS: list[tuple[float, float, str]] = [
     (0.0, 0.9, "<0.9"),
     (0.9, 1.1, "[0.9,1.1)"),

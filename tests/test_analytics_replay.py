@@ -8,9 +8,8 @@ The acceptance bar of the replay layer:
   and zero cell pricing** (asserted via the instrument counters);
 * the store's manifest index never serves stale lookups — externally
   appended rows invalidate and rebuild the affected entry;
-* a :class:`StreamingAggregator` fed rows in any completion order
-  produces the bit-identical summary of a batch fold in canonical
-  order;
+* a :class:`StreamingAggregator` fed rows in any order produces the
+  bit-identical summary of a fold in canonical order;
 * a malformed row in a per-query file drops only itself.
 """
 
@@ -240,16 +239,17 @@ class TestStreamingAggregation:
         with pytest.raises(ValueError, match="exact"):
             SWEEP_KIND.aggregator(exact=False)
 
-    def test_aggregator_as_progress_callback(self, warm_store):
-        """The aggregator consumes UnitReports directly; a fully
-        replayed sweep folds the same summary as the store scan."""
+    def test_batch_fold_of_replayed_sweep(self, warm_store):
+        """A fully replayed sweep's rows fold to the same summary as the
+        store scan (the fold ``repro sweep --summary`` prints)."""
         store, root = warm_store
-        streaming = StreamingAggregator()
-        result = run_sweep(
-            SPEC, truth_root=root, result_root=root, progress=streaming
-        )
+        result = run_sweep(SPEC, truth_root=root, result_root=root)
         assert result.priced_cells == 0
-        summary = streaming.summary()
+        folded = StreamingAggregator()
+        folded.add_many(result.rows)
+        folded.priced_cells = result.priced_cells
+        folded.replayed_cells = result.cached_cells
+        summary = folded.summary()
         assert summary.n_rows == 12 and summary.n_queries == 3
         assert summary.replayed_cells == 12 and summary.priced_cells == 0
         batch = aggregate_store(store)
@@ -258,13 +258,12 @@ class TestStreamingAggregation:
 
     def test_parallel_and_sequential_summaries_identical(self, tmp_path):
         sequential = StreamingAggregator()
-        run_sweep(SPEC, truth_root=tmp_path / "seq", progress=sequential)
+        sequential.add_many(
+            run_sweep(SPEC, truth_root=tmp_path / "seq").rows
+        )
         pooled = StreamingAggregator()
-        run_sweep(
-            SPEC,
-            processes=2,
-            truth_root=tmp_path / "par",
-            progress=pooled,
+        pooled.add_many(
+            run_sweep(SPEC, processes=2, truth_root=tmp_path / "par").rows
         )
         assert (
             sequential.summary().by_estimator
@@ -284,7 +283,6 @@ class TestStreamingAggregation:
         )
         assert all(r.unit_seconds > 0 for r in cold_reports)
         assert all(r.cells_per_second > 0 for r in cold_reports)
-        assert all(len(r.rows) == 4 for r in cold_reports)
         assert "cells/s" in cold_reports[0].render()
         warm_reports = []
         run_sweep(
@@ -294,7 +292,6 @@ class TestStreamingAggregation:
             progress=warm_reports.append,
         )
         assert all(r.unit_seconds == 0.0 for r in warm_reports)
-        assert all(len(r.rows) == 4 for r in warm_reports)
 
 
 # --------------------------------------------------------------------- #

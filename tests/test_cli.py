@@ -100,3 +100,37 @@ def test_run_prints_the_deep_report(report, experiments, capsys):
     ran = capsys.readouterr().out
     assert main(["report", report] + flags) == 0
     assert ran == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["sql", "explain"])
+def test_unknown_positional_query_rejected(verb, capsys):
+    assert main([verb, "zz"]) == 2
+    assert "unknown query name(s): zz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, needs",
+    [("fig4", "6a, 16d, 17b, 25c"), ("fig9", "6a, 13a, 16d, 17b, 25c")],
+)
+def test_run_rejects_queries_the_figure_lacks(experiment, needs, capsys):
+    assert main(["run", experiment, "--scale", "tiny", "--queries", "1a"]) == 2
+    assert f"{experiment} reads queries {needs}" in capsys.readouterr().err
+
+
+def test_run_prices_each_deep_cell_once(tmp_path):
+    """One `repro run` prices through one scratch store, so a deep cell
+    an earlier figure priced is replayed by a later one."""
+    from repro.cli import _EXPERIMENTS, _RunInputs, _register_experiments
+    from repro.pipeline import instrument
+
+    _register_experiments()
+    inputs = _RunInputs("tiny", 42, ("1a", "4a"), tmp_path)
+    priced = {}
+    for name in ["fig3", "fig5", "section4.1", "fig6", "fig7", "fig8"]:
+        before = instrument.snapshot()
+        _EXPERIMENTS[name](inputs)
+        priced[name] = (instrument.snapshot() - before).deep_cells_priced
+    assert priced == {
+        "fig3": 10, "fig5": 2, "section4.1": 36, "fig6": 0, "fig7": 4,
+        "fig8": 8,
+    }

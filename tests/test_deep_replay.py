@@ -421,12 +421,12 @@ class TestDeepAggregation:
 
     def test_store_fold_matches_streaming(self, warm):
         store, root = warm
-        streaming = DeepStreamingAggregator()
-        result = run_deep_sweep(
-            SPEC, truth_root=root, result_root=root, progress=streaming
-        )
+        result = run_deep_sweep(SPEC, truth_root=root, result_root=root)
         assert result.priced_cells == 0
-        summary = streaming.summary()
+        folded = DeepStreamingAggregator()
+        folded.add_many(result.rows)
+        folded.replayed_cells = result.cached_cells
+        summary = folded.summary()
         batch = aggregate_deep_store(store)
         assert summary.subexpr == batch.subexpr
         assert summary.runtime == batch.runtime

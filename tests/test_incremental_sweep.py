@@ -1,9 +1,9 @@
-"""Incremental sweep: task graph, scheduler, result store, streaming.
+"""Incremental sweep: task graph, scheduler, result store, reports.
 
 The acceptance bar: a re-run of an identical spec prices **zero** cells
 (every row replayed from the result store, bit-identically), a changed
-spec prices exactly the cells its change invalidated, and the streaming
-CSV contains complete rows while the sweep is still running.
+spec prices exactly the cells its change invalidated, and ``sweep
+--csv`` writes the finished rows once, atomically.
 """
 
 import csv
@@ -218,27 +218,75 @@ class TestResultStoreReplay:
 
 
 class TestStreamingReports:
-    def test_csv_complete_mid_run_and_canonical_at_end(self, tmp_path):
-        csv_path = tmp_path / "stream.csv"
-        snapshots = []
+    @staticmethod
+    def _sweep_csv(path, *flags):
+        from repro.cli import main
 
-        def progress(report):
-            with csv_path.open(newline="") as handle:
-                snapshots.append((report, list(csv.DictReader(handle))))
+        argv = [
+            "sweep", "--scale", "tiny", "--queries", "1a,4a,6a",
+            "--estimators", "PostgreSQL,HyPer", "--no-result-cache",
+            "--csv", str(path), *flags,
+        ]
+        assert main(argv) == 0
+        return argv
 
-        result = run_sweep(SPEC, progress=progress, stream_csv=csv_path)
-        assert len(snapshots) == 3
-        for i, (report, rows) in enumerate(snapshots, start=1):
-            assert report.index == i and report.total == 3
-            assert report.priced == 4 and report.cached == 0
-            assert len(rows) == 4 * i  # flushed after every unit
-            for row in rows:  # every mid-run row is complete
-                assert row["query"] and row["estimator"] and row["config"]
-                assert float(row["true_cost"]) > 0
-                assert float(row["q_error"]) >= 1.0
-        # finalized file is byte-identical to the batch writer's output
-        batch = result.to_csv(tmp_path / "batch.csv")
-        assert csv_path.read_bytes() == batch.read_bytes()
+    def test_sweep_csv_equals_result_to_csv(self, tmp_path, capsys):
+        """``sweep --csv`` writes ``result.to_csv`` once, after the run,
+        leaving no temp file behind."""
+        from repro.cli import _build_sweep_spec, build_parser
+
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = self._sweep_csv(out / "sweep.csv")
+        assert "wrote 12 rows to" in capsys.readouterr().out
+        assert [p.name for p in out.iterdir()] == ["sweep.csv"]
+        spec, _ = _build_sweep_spec(build_parser().parse_args(argv))
+        batch = run_sweep(spec).to_csv(tmp_path / "batch.csv")
+        assert (out / "sweep.csv").read_bytes() == batch.read_bytes()
+        with (out / "sweep.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 12
+        assert all(float(row["q_error"]) >= 1.0 for row in rows)
+
+    def test_sweep_csv_pooled_equals_sequential(self, tmp_path, capsys):
+        self._sweep_csv(tmp_path / "seq.csv")
+        self._sweep_csv(tmp_path / "par.csv", "--processes", "2")
+        assert (tmp_path / "seq.csv").read_bytes() == (
+            tmp_path / "par.csv"
+        ).read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "par.csv", "seq.csv",
+        ]
+
+    def test_failed_csv_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A CSV write dying before its rename leaves the previous file
+        untouched and no temp debris behind."""
+        result = run_sweep(SPEC)
+        path = tmp_path / "sweep.csv"
+        path.write_text("old\n")
+
+        def exploding_fsync(fd):
+            raise OSError("simulated crash mid-flush")
+
+        monkeypatch.setattr(
+            "repro.pipeline.truthstore.os.fsync", exploding_fsync
+        )
+        with pytest.raises(OSError, match="simulated crash"):
+            result.to_csv(path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+    def test_progress_events_carry_no_rows(self):
+        """Rows reach callers through the result alone: neither a
+        progress event nor the driver takes a row channel."""
+        from repro.pipeline import SWEEP_KIND, UnitReport, run_cells
+
+        with pytest.raises(TypeError):
+            UnitReport(
+                query="1a", index=1, total=1, priced=0, cached=0, rows=()
+            )
+        with pytest.raises(TypeError):
+            run_cells(SPEC, SWEEP_KIND, stream_csv="sweep.csv")
 
     def test_progress_reports_cache_hits(self, tmp_path):
         run_sweep(SPEC, truth_root=tmp_path, result_root=tmp_path)
@@ -252,15 +300,6 @@ class TestStreamingReports:
         assert [r.query for r in reports] == ["1a", "4a", "6a"]
         assert all(r.priced == 0 and r.cached == 4 for r in reports)
         assert "result cache" in reports[0].render()
-
-    def test_streamed_csv_identical_across_runs(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        run_sweep(SPEC, truth_root=tmp_path, result_root=tmp_path,
-                  stream_csv=a)
-        run_sweep(SPEC, truth_root=tmp_path, result_root=tmp_path,
-                  stream_csv=b)
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestDatasetThreading:
